@@ -1,6 +1,6 @@
 # Standard entry points; everything is pure Go with no external dependencies.
 
-.PHONY: all build test test-shuffle test-race race cover cover-check test-prop test-chaos test-backend test-incremental fuzz-smoke bench bench-json bench-check experiments verify fmt fmt-check vet lint lint-json ci examples
+.PHONY: all build test test-shuffle test-race race cover cover-check test-prop test-chaos test-backend test-incremental fuzz-smoke bench bench-json bench-check bench-build experiments verify fmt fmt-check vet lint lint-json ci examples
 
 all: build test
 
@@ -53,13 +53,14 @@ test-chaos:
 # Backend seam under the race detector: the dialect renderer, the sqlite3
 # CLI driver, the exporter and the SQLite differential oracle (every dataset
 # workload interpretation on both engines). Skips the live halves cleanly
-# when no sqlite3 binary is on PATH.
+# when no sqlite3 binary is on PATH; the CI step checks for the binary first
+# so the oracle cannot skip there.
 test-backend:
 	go test -race -count=1 ./internal/backend/... ./internal/sqlast/render/
 
 # Incremental-commit differential under the race detector: the relation
 # delta-builder suite (ExtendFrozen vs full Freeze, index patching vs
-# BuildIndex), the core Live incremental-vs-full-vs-direct equivalence, and
+# BuildIndex), the core Live incremental-vs-direct-Open equivalence, and
 # the top-level replay of every dataset workload on an engine built via K
 # incremental commits against one full core.Open — byte-identical answers
 # required throughout, including under chaos injection mid-query.
@@ -80,33 +81,37 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Machine-readable record of the executor-kernel, memo and epoch-commit
-# benchmarks (BENCH_PR9.json is the committed record for the incremental
-# epoch-commit PR: the PR-7 kernel grid plus BenchmarkEpochCommit's N
-# existing × M new rows matrix in both incremental and full-refreeze modes;
-# BENCH_PR4.json, BENCH_PR6.json and BENCH_PR7.json stay as earlier PRs'
-# records; the nightly workflow regenerates the current file as an
-# artifact). -cpu 1,4 covers both the single-threaded kernels and the
-# shard-parallel scaling; the epoch benches run -cpu 1 with a fixed 20x
+# benchmarks. BENCH.json is the rolling record the bench-regression gate
+# compares against; the nightly workflow regenerates it as an artifact.
+# BENCH_PR4.json, BENCH_PR6.json, BENCH_PR7.json and BENCH_PR9.json stay as
+# earlier PRs' records. -cpu 1,4 covers both the single-threaded kernels and
+# the shard-parallel scaling; the epoch benches run -cpu 1 with a fixed 20x
 # iteration count so the database grows identically run to run.
 KERNEL_BENCHES = Kernel|HashJoin3Way|GroupByAggregate|DistinctProjection|EqualityFilter|MemoSharedSubplans
 KERNEL_BENCH_RUN = go test -run '^$$' -bench '$(KERNEL_BENCHES)' -benchmem -cpu 1,4 ./internal/sqldb/
 EPOCH_BENCH_RUN = go test -run '^$$' -bench 'EpochCommit' -benchmem -benchtime 20x -cpu 1 ./internal/core/
 
 bench-json:
-	{ $(KERNEL_BENCH_RUN); $(EPOCH_BENCH_RUN); } | go run ./cmd/benchjson > BENCH_PR9.json
-	@echo "wrote BENCH_PR9.json"
+	{ $(KERNEL_BENCH_RUN); $(EPOCH_BENCH_RUN); } | go run ./cmd/benchjson > BENCH.json
+	@echo "wrote BENCH.json"
 
 # Bench-regression gate: rerun the kernel and epoch-commit benchmarks and
 # fail when any rows/s-bearing benchmark falls more than 25% below the
-# committed BENCH_PR9.json baseline (or disappears from the run). Because
-# the baseline holds both modes of BenchmarkEpochCommit, this gate also
-# pins the incremental-vs-full commit speedup: the incremental rows/s
-# entries sit an order of magnitude above full's, so losing the delta path
-# fails the comparison outright. The fresh run is written to
-# BENCH_CURRENT.json for the CI artifact either way.
+# committed BENCH.json baseline (or disappears from the run). Because the
+# baseline holds both modes of BenchmarkEpochCommit, this gate also pins the
+# incremental-vs-full commit speedup: the incremental rows/s entries sit an
+# order of magnitude above full's, so losing the delta path fails the
+# comparison outright. The fresh run is written to BENCH_CURRENT.json for the
+# CI artifact either way.
 bench-check:
-	{ $(KERNEL_BENCH_RUN); $(EPOCH_BENCH_RUN); } | go run ./cmd/benchjson -compare BENCH_PR9.json -tolerance 0.25 > BENCH_CURRENT.json
+	{ $(KERNEL_BENCH_RUN); $(EPOCH_BENCH_RUN); } | go run ./cmd/benchjson -compare BENCH.json -tolerance 0.25 > BENCH_CURRENT.json
 	@echo "wrote BENCH_CURRENT.json"
+
+# Compile and vet the end-to-end benchmark (kwbench/, its own module built
+# against this one through a replace directive), so an API change that
+# breaks it fails here rather than only when the benchmark runs.
+bench-build:
+	cd kwbench && go vet ./...
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
@@ -137,7 +142,7 @@ lint:
 	go run ./cmd/kwlint -plans
 
 # Machine-readable lint record; the CI and nightly workflows upload it as an
-# artifact next to BENCH_PR4.json.
+# artifact next to BENCH.json.
 lint-json:
 	go run ./cmd/kwlint -json -tests ./... > KWLINT.json || true
 	go run ./cmd/kwlint -json -plans > KWLINT_PLANS.json || true
@@ -147,7 +152,7 @@ lint-json:
 # whole push gate locally before opening a PR (the PR-only fuzz and
 # bench-regression jobs are `go test -fuzz=FuzzExec -fuzztime=30s
 # ./internal/sqldb/` and `make bench-check`).
-ci: build vet fmt-check lint test test-shuffle test-race test-chaos test-prop test-backend test-incremental cover-check
+ci: build vet fmt-check bench-build lint test test-shuffle test-race test-chaos test-prop test-backend test-incremental cover-check
 
 # Run every example end to end.
 examples:

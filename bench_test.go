@@ -159,14 +159,14 @@ func BenchmarkAblationRewriteRules(b *testing.B) {
 
 	b.Run("rewritten", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sqldb.Exec(sys.Data, rewritten); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), sys.Data, rewritten, sqldb.ExecConfig{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("unrewritten", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sqldb.Exec(sys.Data, unrewritten); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), sys.Data, unrewritten, sqldb.ExecConfig{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -200,14 +200,14 @@ func BenchmarkAblationDedupProjection(b *testing.B) {
 
 	b.Run("with-projection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sqldb.Exec(sys.Data, withRule); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), sys.Data, withRule, sqldb.ExecConfig{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("without-projection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sqldb.Exec(sys.Data, withoutRule); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), sys.Data, withoutRule, sqldb.ExecConfig{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -312,16 +312,15 @@ func TestCtxFlowFlagsNonContextExec(t *testing.T) {
 import (
 	"context"
 	"kwagg/internal/relation"
-	"kwagg/internal/sqlast"
 	"kwagg/internal/sqldb"
 )
-func run(ctx context.Context, db *relation.Database, q *sqlast.Query) error {
-	_, err := sqldb.Exec(db, q)
+func run(ctx context.Context, db *relation.Database) error {
+	_, err := sqldb.ExecSQL(db, "SELECT S.Sid FROM Student S")
 	return err
 }
 `
 	wantDiag(t, check(t, "kwagg/internal/core", src, CtxFlow()),
-		"ctxflow", "sqldb.Exec")
+		"ctxflow", "sqldb.ExecSQL")
 }
 
 func TestCtxFlowAllowsRootingWithoutCtx(t *testing.T) {

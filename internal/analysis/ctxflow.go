@@ -16,11 +16,11 @@ const sqldbPkg = "kwagg/internal/sqldb"
 //     cancellation;
 //   - the same inside a function with an *http.Request parameter discards
 //     the request context (use r.Context());
-//   - calling the non-context executor entry points (sqldb.Exec, ExecSQL,
-//     ExecNoIndex) from a function that has a context defeats per-statement
-//     deadlines and chaos cancellation — use ExecContext / ExecMemoContext.
+//   - calling sqldb.ExecSQL, the one executor entry point without a
+//     context, from a function that has a context defeats per-statement
+//     deadlines and chaos cancellation — use sqldb.ExecOpts.
 //
-// The convenience wrappers themselves (Answer, Exec, …) have no context
+// The convenience wrappers themselves (Answer, ExecSQL, …) have no context
 // parameter and are allowed to root one.
 func CtxFlow() *Analyzer {
 	a := &Analyzer{
@@ -58,11 +58,11 @@ func CtxFlow() *Analyzer {
 					return true
 				}
 				if hasCtx && pkg.Path != sqldbPkg {
-					if name, ok := isPkgCall(pkg.Info, call, sqldbPkg, "Exec", "ExecSQL", "ExecNoIndex"); ok {
+					if name, ok := isPkgCall(pkg.Info, call, sqldbPkg, "ExecSQL"); ok {
 						diags = append(diags, Diagnostic{
 							Analyzer: "ctxflow",
 							Pos:      pkg.Fset.Position(call.Pos()),
-							Message:  "sqldb." + name + " roots a fresh context; call sqldb.ExecContext (or ExecMemoContext) with the context already in scope",
+							Message:  "sqldb." + name + " roots a fresh context; call sqldb.ExecOpts with the context already in scope",
 						})
 					}
 				}

@@ -123,7 +123,7 @@ func Collect(rows Rows) (*sqldb.Result, error) {
 
 // SQLDB is the default backend: the frozen in-memory engine executing the
 // sqlast tree directly (no rendering, no parsing). It carries the executor
-// configuration core resolved (memo, kernel generation, shard workers).
+// configuration core resolved (memo, shard workers).
 type SQLDB struct {
 	db  *relation.Database
 	cfg sqldb.ExecConfig

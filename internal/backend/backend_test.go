@@ -65,7 +65,7 @@ func TestOutputColumns(t *testing.T) {
 		}
 	}
 	// Must agree with the in-memory engine's own naming.
-	res, err := sqldb.Exec(cornerDB(), q)
+	res, _, err := sqldb.ExecOpts(context.Background(), cornerDB(), q, sqldb.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

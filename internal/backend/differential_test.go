@@ -1,11 +1,11 @@
 // The external differential oracle: every interpretation the system
 // generates for every bundled dataset workload is executed on both the
 // in-memory engine and a real SQLite holding an export of the same frozen
-// data, and the answer sets must be equal. Unlike the in-house three-way
-// suite (internal/sqldb/differential_test.go), which compares executor
-// generations that share one code lineage, this suite validates the
-// generated SQL, the dialect renderer, the exporter and the executor against
-// an independently implemented SQL engine.
+// data, and the answer sets must be equal. Beside the brute-force reference
+// evaluator (internal/sqldb/reference_test.go), which checks the executor
+// alone, this suite validates the generated SQL, the dialect renderer, the
+// exporter and the executor against an independently implemented SQL
+// engine.
 //
 // Equality is after canonical sorting, with one concession: float cells may
 // differ by a relative epsilon, because SQLite is free to sum float columns
@@ -65,7 +65,7 @@ func diffOne(t *testing.T, db *relation.Database, ext backend.Backend, label str
 	t.Helper()
 	ctx := context.Background()
 
-	want, err := sqldb.Exec(db, q)
+	want, _, err := sqldb.ExecOpts(context.Background(), db, q, sqldb.ExecConfig{})
 	if err != nil {
 		t.Fatalf("%s: sqldb: %v\nSQL: %s", label, err, q)
 	}
@@ -215,7 +215,7 @@ func TestKnownDivergenceNULLStringGroupBy(t *testing.T) {
 	defer ext.Close()
 	q := parse(t, "SELECT I.Name, COUNT(I.Id) AS n FROM Item I GROUP BY I.Name")
 
-	want, err := sqldb.Exec(db, q)
+	want, _, err := sqldb.ExecOpts(context.Background(), db, q, sqldb.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

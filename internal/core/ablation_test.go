@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"kwagg/internal/dataset/university"
@@ -26,7 +27,7 @@ func TestAblationDedupRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sqldb.Exec(s.Data, ins[0].SQL)
+	res, _, err := sqldb.ExecOpts(context.Background(), s.Data, ins[0].SQL, sqldb.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,12 @@ type System struct {
 	// under. Set before sharing the System.
 	VerifyPlans bool
 
-	// NoBatch pins statement execution to the integer-at-a-time encoded
-	// kernels instead of the vectorized batch kernels (output is
-	// byte-identical either way). Built by Open from Options.BatchKernels.
+	// NoBatch is always false: the batch kernels are the only execution
+	// path.
+	//
+	// Deprecated: nothing in this module sets or reads it; it remains only
+	// because the end-to-end benchmark module (kwbench/layers.go) still
+	// reads it.
 	NoBatch bool
 
 	// Shards is the shard-parallel worker target for a single statement's
@@ -139,25 +142,14 @@ type Options struct {
 	// VerifyPlans makes Interpret verify every translated plan against the
 	// paper's invariants (internal/planck) and fail on findings.
 	VerifyPlans bool
-	// BatchKernels selects the executor's kernel generation: 0 (the
-	// default) and positive run the vectorized batch kernels, negative pins
-	// the integer-at-a-time encoded path — the escape hatch, byte-identical
-	// output, mirroring the MemoCells zero/negative idiom.
-	BatchKernels int
 	// Shards is the per-statement shard-parallel worker target: 0 means
 	// min(GOMAXPROCS, 8), 1 or negative pins single-shard execution —
-	// the same zero/negative idiom as MemoCells and BatchKernels.
+	// the same zero/negative idiom as MemoCells.
 	Shards int
 	// Backend routes statement execution to an external engine (nil — the
 	// default — executes on the embedded in-memory engine). The caller keeps
 	// ownership: Close it after the System is done.
 	Backend backend.Backend
-	// FullRefreeze pins Live.Commit to the from-scratch O(total rows) epoch
-	// rebuild instead of the incremental O(new rows) delta freeze. The two
-	// produce byte-identical epochs (the differential suites gate it); the
-	// escape hatch exists for comparison benchmarks and bisection, mirroring
-	// the BatchKernels idiom.
-	FullRefreeze bool
 }
 
 // Open prepares a database for keyword search. It checks every relation's
@@ -213,7 +205,6 @@ func openSystem(db *relation.Database, opts *Options, idx *relation.InvertedInde
 	s.RetryBackoff = opts.RetryBackoff
 	s.Plan = planck.New(db)
 	s.VerifyPlans = opts.VerifyPlans
-	s.NoBatch = opts.BatchKernels < 0
 	s.Shards = opts.Shards
 	s.Backend = opts.Backend
 	// Freeze the stored data: later inserts are rejected, and every
@@ -603,7 +594,7 @@ func (s *System) execAttempt(sctx context.Context, in Interpretation, detail str
 		return s.execBackend(sctx, in)
 	}
 	res, st, err := sqldb.ExecOpts(sctx, s.Data, in.SQL,
-		sqldb.ExecConfig{Memo: s.Memo, NoBatch: s.NoBatch, Shards: s.ShardWorkers()})
+		sqldb.ExecConfig{Memo: s.Memo, Shards: s.ShardWorkers()})
 	if st.Hits > 0 || st.Misses > 0 || st.ShardRuns > 0 {
 		if reg := obs.RegistryFrom(sctx); reg != nil {
 			if st.Hits > 0 || st.Misses > 0 {
@@ -721,8 +712,8 @@ func (s *System) BestAnswer(query string, k int, pick func(Interpretation) bool)
 			return nil, fmt.Errorf("core: no interpretation of %q matches the selector", query)
 		}
 	}
-	res, _, err := sqldb.ExecOpts(nil, s.Data, ins[idx].SQL,
-		sqldb.ExecConfig{NoBatch: s.NoBatch, Shards: s.ShardWorkers()})
+	res, _, err := sqldb.ExecOpts(context.Background(), s.Data, ins[idx].SQL,
+		sqldb.ExecConfig{Shards: s.ShardWorkers()})
 	if err != nil {
 		return nil, fmt.Errorf("core: executing %q: %w", ins[idx].SQL, err)
 	}
@@ -737,8 +728,8 @@ func (s *System) Execute(sql string) (*sqldb.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := sqldb.ExecOpts(nil, s.Data, q,
-		sqldb.ExecConfig{NoBatch: s.NoBatch, Shards: s.ShardWorkers()})
+	res, _, err := sqldb.ExecOpts(context.Background(), s.Data, q,
+		sqldb.ExecConfig{Shards: s.ShardWorkers()})
 	return res, err
 }
 

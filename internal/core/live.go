@@ -167,11 +167,11 @@ func (l *Live) BuildDuration() time.Duration {
 // new tuples' tokens — then a fresh System is opened over the result and
 // atomically swapped in, returning the new epoch number. The build is
 // O(new rows + touched index entries + per-epoch slice headers) instead of
-// the O(total rows) full re-freeze (kept behind Options.FullRefreeze as the
-// comparison baseline); both paths produce byte-identical epochs, which the
-// incremental-vs-full differential suites gate. With nothing pending Commit
-// returns the current epoch unchanged. On a build error the buffer and
-// current epoch are kept, so the caller can repair and retry.
+// an O(total rows) full re-freeze, and the epoch is byte-identical to a
+// from-scratch Open of the same rows, which the incremental differential
+// suites gate. With nothing pending Commit returns the current epoch
+// unchanged. On a build error the buffer and current epoch are kept, so the
+// caller can repair and retry.
 //
 // Dictionary-ID prefix stability makes the delta sound: a full freeze
 // interns values in row order, so the previous epoch's dictionaries, encoded
@@ -190,16 +190,7 @@ func (l *Live) Commit(ctx context.Context) (uint64, error) {
 	elapsed := obs.Stopwatch()
 	_, span := obs.Start(ctx, "epoch_build")
 	defer span.End()
-	var (
-		sys   *System
-		stats relation.DeltaStats
-		err   error
-	)
-	if l.opts.FullRefreeze {
-		sys, err = l.buildFull(st.sys)
-	} else {
-		sys, stats, err = l.buildDelta(st.sys)
-	}
+	sys, stats, err := l.buildDelta(st.sys)
 	if err != nil {
 		return st.epoch, fmt.Errorf("core: building epoch %d: %w", st.epoch+1, err)
 	}
@@ -245,20 +236,4 @@ func (l *Live) buildDelta(old *System) (*System, relation.DeltaStats, error) {
 		return nil, stats, err
 	}
 	return sys, stats, nil
-}
-
-// buildFull opens the next epoch from scratch — the O(total rows) re-freeze
-// the incremental path replaced, retained behind Options.FullRefreeze as the
-// comparison baseline. Tuples are immutable by convention, so both epochs
-// share them. l.mu must be held.
-func (l *Live) buildFull(old *System) (*System, error) {
-	next := relation.NewDatabase(old.Data.Name)
-	for _, t := range old.Data.Tables() {
-		nt := relation.NewTable(t.Schema.Clone())
-		if err := nt.AppendShared(t.Tuples, l.buf[strings.ToLower(t.Schema.Name)]); err != nil {
-			return nil, err
-		}
-		next.Add(nt)
-	}
-	return Open(next, l.opts)
 }

@@ -68,27 +68,18 @@ func directDatabase(t *testing.T, k int) *relation.Database {
 }
 
 // TestLiveCommitIncrementalMatchesFull drives K consecutive incremental
-// commits and checks, after every one, that answers are byte-identical to
-// (a) a live engine pinned to the full-refreeze path fed the same batches
-// and (b) a from-scratch core.Open of the directly-built database.
+// commits and checks, after every one, that answers are byte-identical to a
+// full from-scratch core.Open of the directly-built database.
 func TestLiveCommitIncrementalMatchesFull(t *testing.T) {
 	inc, err := OpenLive(university.New(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := OpenLive(university.New(), &Options{FullRefreeze: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	for k, batch := range commitBatches {
 		applyBatch(t, inc, batch)
-		applyBatch(t, full, batch)
 		if ep, err := inc.Commit(ctx); err != nil || ep != uint64(k+1) {
 			t.Fatalf("incremental Commit %d = %d, %v", k, ep, err)
-		}
-		if ep, err := full.Commit(ctx); err != nil || ep != uint64(k+1) {
-			t.Fatalf("full Commit %d = %d, %v", k, ep, err)
 		}
 		truth, err := Open(directDatabase(t, k+1), nil)
 		if err != nil {
@@ -98,10 +89,6 @@ func TestLiveCommitIncrementalMatchesFull(t *testing.T) {
 			want := answerBytes(t, truth, q)
 			if got := answerBytes(t, inc.System(), q); got != want {
 				t.Fatalf("epoch %d query %q: incremental diverged from direct build:\nwant:\n%s\ngot:\n%s",
-					k+1, q, want, got)
-			}
-			if got := answerBytes(t, full.System(), q); got != want {
-				t.Fatalf("epoch %d query %q: full refreeze diverged from direct build:\nwant:\n%s\ngot:\n%s",
 					k+1, q, want, got)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func TestPropertyGeneratedSQLExecutes(t *testing.T) {
 			if parsed.String() != text {
 				t.Fatalf("query %q: render/parse not a fixpoint:\n%s\n%s", q, text, parsed.String())
 			}
-			if _, err := sqldb.Exec(s.Data, in.SQL); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), s.Data, in.SQL, sqldb.ExecConfig{}); err != nil {
 				t.Fatalf("query %q: generated SQL does not execute: %v\n%s", q, err, text)
 			}
 			executed++
@@ -113,7 +114,7 @@ func TestPropertyUnnormalizedPipeline(t *testing.T) {
 			t.Fatalf("Interpret(%q): %v", q, err)
 		}
 		for _, in := range ins {
-			if _, err := sqldb.Exec(s.Data, in.SQL); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), s.Data, in.SQL, sqldb.ExecConfig{}); err != nil {
 				t.Fatalf("query %q: %v\n%s", q, err, in.SQL)
 			}
 		}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -446,7 +447,7 @@ func (s *Setup) TimeExecution(queries []Query, reps int) ([]Timing, error) {
 		}
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			if _, err := sqldb.Exec(s.Ours.Data, a.SQL); err != nil {
+			if _, _, err := sqldb.ExecOpts(context.Background(), s.Ours.Data, a.SQL, sqldb.ExecConfig{}); err != nil {
 				return nil, err
 			}
 		}

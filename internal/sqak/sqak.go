@@ -16,6 +16,7 @@
 package sqak
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -203,7 +204,7 @@ func (s *System) Answer(query string) (*sqldb.Result, *sqlast.Query, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := sqldb.Exec(s.db, sql)
+	res, _, err := sqldb.ExecOpts(context.Background(), s.db, sql, sqldb.ExecConfig{})
 	if err != nil {
 		return nil, sql, err
 	}

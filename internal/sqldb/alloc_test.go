@@ -49,7 +49,7 @@ func TestGroupKeyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAllocsPerRow(t, "group-by", rows, 0.05, func() {
-		if _, err := Exec(db, q); err != nil {
+		if _, err := execQuery(db, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -66,7 +66,7 @@ func TestJoinKeyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Exec(db, q)
+	res, err := execQuery(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestJoinKeyAllocs(t *testing.T) {
 		t.Fatalf("join cardinality %v, want %v", res.Rows[0][0], matches)
 	}
 	assertAllocsPerRow(t, "hash-join", rows, 0.05, func() {
-		if _, err := Exec(db, q); err != nil {
+		if _, err := execQuery(db, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -96,7 +96,7 @@ func TestDistinctKeyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAllocsPerRow(t, "distinct", rows, 0.05, func() {
-		if _, err := Exec(db, q); err != nil {
+		if _, err := execQuery(db, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,51 +114,8 @@ func TestFilterKernelAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAllocsPerRow(t, "batch-filter", rows, 0.05, func() {
-		if _, err := Exec(db, q); err != nil {
+		if _, err := execQuery(db, q); err != nil {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestBatchAllocsNotWorseThanEncoded compares steady-state allocations of the
-// batch kernels against the integer-at-a-time encoded path on the same
-// statements: vectorizing must not buy speed with extra garbage, so the batch
-// execution may allocate at most what the encoded one does (plus a fixed
-// per-statement scratch slack for the selection vectors).
-func TestBatchAllocsNotWorseThanEncoded(t *testing.T) {
-	const rows = 20000
-	db := allocDB(rows)
-	for _, tc := range []struct{ label, sql string }{
-		{"group-by", "SELECT T.G, COUNT(T.V) AS n FROM T GROUP BY T.G"},
-		{"hash-join", "SELECT COUNT(T.V) AS n FROM T, U WHERE U.K = T.K"},
-		{"distinct", "SELECT DISTINCT T.G, T.K FROM T"},
-	} {
-		q, err := Parse(tc.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runBatch := func() {
-			if _, err := Exec(db, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runEncoded := func() {
-			if _, err := ExecEncoded(db, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runBatch()
-		runEncoded() // warm cached remap tables for both modes
-		batch := testing.AllocsPerRun(10, runBatch)
-		encoded := testing.AllocsPerRun(10, runEncoded)
-		t.Logf("%s: batch %.0f allocs/op, encoded %.0f allocs/op", tc.label, batch, encoded)
-		// The batch executor may add a handful of fixed scratch allocations
-		// (selection bitset, packed indexes, probe gather buffer) but nothing
-		// per row.
-		const scratchSlack = 8
-		if batch > encoded+scratchSlack {
-			t.Errorf("%s: batch path allocates %.0f/op vs encoded %.0f/op — more than fixed scratch slack %d",
-				tc.label, batch, encoded, scratchSlack)
-		}
-	}
 }

@@ -13,21 +13,13 @@ import (
 // dictionary IDs at a time instead of one row at a time. A block pass has two
 // stages: a branch-free kernel fills a selection vector (a bitset over the
 // block's rows, packed into ascending row indexes on demand), then a gather
-// walks only the selected rows to emit output. Every kernel preserves the
-// integer-at-a-time path's exact output row order (ascending input rows for
-// filters and probes, first-seen slot order for groups), so memoized
-// fragments, the query cache and the planck invariants are untouched; the
-// integer path itself stays intact as the `encoded` reference behind
-// Options.BatchKernels / ExecEncoded.
+// walks only the selected rows to emit output. Every kernel emits rows in a
+// fixed order (ascending input rows for filters and probes, first-seen slot
+// order for groups), so memoized fragments, the query cache and the planck
+// invariants see the same rows whichever shard layout produced them.
 
 // blockWords is the selection-bitset word count of one full block.
 const blockWords = relation.BlockSize / 64
-
-// batchOn reports whether the batch kernels may run. They are off in the
-// scan-only reference executor (which carries no encoding anyway) and when
-// the caller pinned the integer-at-a-time path (ExecEncoded,
-// Options.BatchKernels < 0).
-func (e *executor) batchOn() bool { return !e.noIndex && !e.noBatch }
 
 // stepN advances the row-touch counter by one block of n rows and polls
 // cancellation. Blocks are at most rowCheckInterval rows, so per-block polls
@@ -297,7 +289,7 @@ func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset, verify 
 // per block it translates the probe IDs through the cached remap table,
 // masks out misses (NoID) and NULL rows branch-free, packs the survivors
 // into a selection vector and walks the build chains only for those. Output
-// order is ascending probe row, matching the integer-at-a-time loop exactly.
+// order is ascending probe row.
 // dense and mapHeads are the two build-side head structures (exactly one is
 // non-nil); next threads each chain in ascending build-row order.
 func (e *executor) batchProbe(left *rowset, li int, remap []uint32, dense []int32, mapHeads map[uint32]int32, next []int32, emit func(lj, rj int)) error {
@@ -391,7 +383,7 @@ func (e *executor) batchProbe(left *rowset, li int, remap []uint32, dense []int3
 // batchGroupSlots assigns every row its group slot in one block-at-a-time
 // pass, replacing the per-slot row lists with a flat rowSlot array plus
 // per-slot sizes. Slots are numbered in first-seen row order and firsts[s]
-// is the first row of slot s — identical to the integer path's lists/firsts.
+// is the first row of slot s.
 // Returns a nil rowSlot when the grouping shape is not batchable (3+ key
 // columns); zero group columns means the single all-rows group.
 func (e *executor) batchGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, firsts []int, sizes []int32, err error) {
@@ -521,8 +513,7 @@ func (e *executor) batchGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, fir
 
 // carveLists materializes the per-slot row lists from a slot assignment by
 // counting sort: every list is a slice of one flat backing array, filled in
-// ascending row order — element-for-element identical to the lists the
-// integer-at-a-time path appends row by row, at two allocations total.
+// ascending row order, at two allocations total.
 func carveLists(rowSlot []int32, sizes []int32) [][]int {
 	offs := make([]int, len(sizes)+1)
 	for s, sz := range sizes {

@@ -31,18 +31,9 @@ func TestBatchCancellationMidBlock(t *testing.T) {
 		if res != nil {
 			t.Errorf("%s: cancelled execution must not return a result", sql)
 		}
-		// Sanity: the same statement completes when not cancelled, through
-		// both kernel generations identically.
-		batch, _, err := ExecOpts(context.Background(), db, q, ExecConfig{})
-		if err != nil {
+		// Sanity: the same statement completes when not cancelled.
+		if _, _, err := ExecOpts(context.Background(), db, q, ExecConfig{}); err != nil {
 			t.Fatalf("%s: %v", sql, err)
-		}
-		encoded, _, err := ExecOpts(context.Background(), db, q, ExecConfig{NoBatch: true})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		if batch.String() != encoded.String() {
-			t.Errorf("%s: batch and encoded disagree uncancelled", sql)
 		}
 	}
 }

@@ -3,13 +3,15 @@ package sqldb
 import (
 	"context"
 	"testing"
+
+	"kwagg/internal/relation"
 )
 
-// threeWayBlocks runs sql over the multi-block frozen database through the
-// batch, encoded and scan-only reference generations and requires
-// byte-identical rendered results (after the canonical sort — these
-// statements are deterministic, the sort just normalizes map-order ties the
-// contract already allows at the top level).
+// threeWayBlocks runs sql over the multi-block frozen database three ways —
+// single-shard, shard-parallel over one-block shards, and the brute-force
+// reference evaluator — and requires the two executions to agree row for row
+// (order included) and the reference to agree on the sorted rows (see
+// refDiff).
 func threeWayBlocks(t *testing.T, sql string) {
 	t.Helper()
 	db := fuzzBlockDB()
@@ -17,32 +19,29 @@ func threeWayBlocks(t *testing.T, sql string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, _, err := ExecOpts(context.Background(), db, q, ExecConfig{})
+	single, _, err := ExecOpts(context.Background(), db, q, ExecConfig{})
 	if err != nil {
-		t.Fatalf("batch: %v", err)
+		t.Fatalf("single-shard: %v", err)
 	}
-	encoded, _, err := ExecOpts(context.Background(), db, q, ExecConfig{NoBatch: true})
+	sharded, _, err := ExecOpts(context.Background(), db, q, ExecConfig{Shards: 4, ShardRows: relation.BlockSize})
 	if err != nil {
-		t.Fatalf("encoded: %v", err)
+		t.Fatalf("sharded: %v", err)
 	}
-	reference, err := ExecNoIndex(db, q)
+	reference, err := refExec(db, q)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	batch.SortRows()
-	encoded.SortRows()
-	reference.SortRows()
-	if batch.String() != encoded.String() {
-		t.Errorf("batch diverged from encoded:\n%s\nbatch:\n%s\nencoded:\n%s", sql, batch, encoded)
+	if single.String() != sharded.String() {
+		t.Errorf("sharded diverged from single-shard:\n%s\nsingle:\n%s\nsharded:\n%s", sql, single, sharded)
 	}
-	if encoded.String() != reference.String() {
-		t.Errorf("encoded diverged from reference:\n%s\nencoded:\n%s\nreference:\n%s", sql, encoded, reference)
+	if d := refDiff(single, reference); d != "" {
+		t.Errorf("executor diverged from reference:\n%s\n%s", sql, d)
 	}
 }
 
 // TestBatchOperatorPathsThreeWay drives the executor paths the workload
-// suites don't reach onto multi-block inputs, each through all three kernel
-// generations: the packed 3-key join, the map-slot grouping ladder rung
+// suites don't reach onto multi-block inputs, each run three ways (see
+// threeWayBlocks): the packed 3-key join, the map-slot grouping ladder rung
 // (high-cardinality key on a small filtered input), COUNT over a
 // NULL-carrying column (bitset complement on base scans, boxed on derived
 // rowsets), DISTINCT's ladder, and ORDER BY + LIMIT over grouped output.

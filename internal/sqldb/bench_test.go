@@ -12,8 +12,8 @@ import (
 )
 
 // benchDB returns the TPCH benchmark database frozen, as Open leaves it in
-// production: frozen tables carry the dictionary encoding, so Exec runs the
-// integer-keyed kernels while ExecNoIndex is the formatted-string reference.
+// production: frozen tables carry the dictionary encoding the batch kernels
+// run over.
 func benchDB(b *testing.B) *relation.Database {
 	b.Helper()
 	db := tpch.New(tpch.Default())
@@ -34,10 +34,9 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-// benchThreeWay runs the statement through all three executor generations:
-// the vectorized batch kernels (default), the integer-at-a-time encoded
-// kernels, and the scan-only formatted-string reference path.
-func benchThreeWay(b *testing.B, db *relation.Database, sql string) {
+// benchStatement runs the statement through the batch kernels, single-shard,
+// as the "batch" sub-benchmark.
+func benchStatement(b *testing.B, db *relation.Database, sql string) {
 	b.Helper()
 	q, err := Parse(sql)
 	if err != nil {
@@ -46,23 +45,7 @@ func benchThreeWay(b *testing.B, db *relation.Database, sql string) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Exec(db, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encoded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ExecEncoded(db, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ExecNoIndex(db, q); err != nil {
+			if _, err := execQuery(db, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -71,7 +54,7 @@ func benchThreeWay(b *testing.B, db *relation.Database, sql string) {
 
 // BenchmarkHashJoin3Way measures the T5-style join over the TPCH data.
 func BenchmarkHashJoin3Way(b *testing.B) {
-	benchThreeWay(b, benchDB(b),
+	benchStatement(b, benchDB(b),
 		"SELECT COUNT(S.suppkey) AS n FROM Supplier S, Part P, "+
 			"(SELECT DISTINCT suppkey, partkey FROM Lineitem) L "+
 			"WHERE P.partkey=L.partkey AND L.suppkey=S.suppkey AND P.pname CONTAINS 'royal olive'")
@@ -79,40 +62,31 @@ func BenchmarkHashJoin3Way(b *testing.B) {
 
 // BenchmarkGroupByAggregate measures grouping all lineitems by supplier.
 func BenchmarkGroupByAggregate(b *testing.B) {
-	benchThreeWay(b, benchDB(b),
+	benchStatement(b, benchDB(b),
 		"SELECT L.suppkey, COUNT(L.partkey) AS n FROM Lineitem L GROUP BY L.suppkey")
 }
 
 // BenchmarkDistinctProjection measures the Section 3.1.3 projection cost.
 func BenchmarkDistinctProjection(b *testing.B) {
-	benchThreeWay(b, benchDB(b),
+	benchStatement(b, benchDB(b),
 		"SELECT DISTINCT L.partkey, L.suppkey FROM Lineitem L")
 }
 
 // BenchmarkEqualityFilter measures an equality-constant filter over the
-// Lineitem table through the value index against the scan-only reference
-// path (ExecNoIndex).
+// Lineitem table through the value index.
 func BenchmarkEqualityFilter(b *testing.B) {
 	db := benchDB(b)
 	q, err := Parse("SELECT L.partkey FROM Lineitem L WHERE L.suppkey = 7")
 	if err != nil {
 		b.Fatal(err)
 	}
-	if res, err := Exec(db, q); err != nil || len(res.Rows) == 0 {
+	if res, err := execQuery(db, q); err != nil || len(res.Rows) == 0 {
 		b.Fatalf("filter selects nothing: %v, %v", res, err)
 	}
 	b.Run("index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Exec(db, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ExecNoIndex(db, q); err != nil {
+			if _, err := execQuery(db, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -143,7 +117,7 @@ func BenchmarkMemoSharedSubplans(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := NewMemo(1 << 22)
 			for _, q := range queries {
-				if _, _, err := ExecMemoContext(context.Background(), db, q, m); err != nil {
+				if _, _, err := ExecOpts(context.Background(), db, q, ExecConfig{Memo: m}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -153,7 +127,7 @@ func BenchmarkMemoSharedSubplans(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				if _, err := Exec(db, q); err != nil {
+				if _, err := execQuery(db, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,8 +143,8 @@ func BenchmarkMemoSharedSubplans(b *testing.B) {
 // materialization — and always probes hash joins with the smaller side, so a
 // big-probe shape is unreachable through SQL). Relations span many BlockSize
 // blocks plus a partial tail so the block loop's boundary handling is always
-// on the path. Throughput is reported as input rows per second so
-// BENCH_PR6.json can compare kernels directly across execution modes.
+// on the path. Throughput is reported as input rows per second, the figure
+// the bench-regression gate compares.
 
 // kernelBenchRows sizes the synthetic kernel relations: 256 blocks plus a
 // partial tail.
@@ -210,9 +184,7 @@ func buildKernelDB() *relation.Database {
 	return db
 }
 
-// kernelSource builds the pristine scan rowset of a table under the three
-// execution modes (the reference mode drops the encoding, exactly like
-// ExecNoIndex's scans).
+// kernelSource builds the pristine scan rowset of a table.
 func kernelSource(b *testing.B, e *executor, name string) *rowset {
 	b.Helper()
 	rs, err := e.source(sqlast.TableRef{Name: name, Alias: name})
@@ -222,24 +194,19 @@ func kernelSource(b *testing.B, e *executor, name string) *rowset {
 	return rs
 }
 
-// benchKernelModes runs op through the executor generations (sharded, batch,
-// encoded, reference), reporting input rows per second per mode. op receives
-// a fresh mode-configured executor per call. The sharded mode is the batch
-// kernels driven shard-parallel at GOMAXPROCS workers — run with -cpu 1,4 the
-// pair of sharded lines shows the multi-core scaling directly, and at -cpu 1
-// sharded collapses to batch (parFor caps workers at GOMAXPROCS).
+// benchKernelModes runs op single-shard ("batch") and shard-parallel at
+// GOMAXPROCS workers ("sharded"), reporting input rows per second per mode.
+// op receives a fresh mode-configured executor per call. Run with -cpu 1,4
+// the pair of sharded lines shows the multi-core scaling directly, and at
+// -cpu 1 sharded collapses to batch (parFor caps workers at GOMAXPROCS).
 func benchKernelModes(b *testing.B, inputRows int, op func(e *executor) error) {
 	b.Helper()
 	modes := []struct {
-		name    string
-		noIndex bool
-		noBatch bool
-		par     int
+		name string
+		par  int
 	}{
-		{"sharded", false, false, runtime.GOMAXPROCS(0)},
-		{"batch", false, false, 0},
-		{"encoded", false, true, 0},
-		{"reference", true, false, 0},
+		{"sharded", runtime.GOMAXPROCS(0)},
+		{"batch", 0},
 	}
 	// One untimed warm-up op so the first timed mode does not pay the heap
 	// ramp-up for large outputs that later modes then inherit for free.
@@ -251,7 +218,7 @@ func benchKernelModes(b *testing.B, inputRows int, op func(e *executor) error) {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := op(&executor{noIndex: m.noIndex, noBatch: m.noBatch, par: m.par}); err != nil {
+				if err := op(&executor{par: m.par}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,9 +230,8 @@ func benchKernelModes(b *testing.B, inputRows int, op func(e *executor) error) {
 // BenchmarkKernelFilter isolates the equality-filter kernel on a pristine
 // base scan with a float constant — the shape the value index cannot answer
 // (it only keys strings and ints), so the batch path runs the contiguous
-// eqBits kernel over the column blocks, the encoded path compares dictionary
-// IDs row at a time and the reference path Compares boxed values. 1/512 of
-// the rows survive, keeping output cost marginal.
+// eqBits kernel over the column blocks. 1/512 of the rows survive, keeping
+// output cost marginal.
 func BenchmarkKernelFilter(b *testing.B) {
 	db := kernelDB()
 	pred := sqlast.ComparePred{

@@ -24,8 +24,8 @@ func collisionDB(freeze bool) *relation.Database {
 	return db
 }
 
-// collisionExecs runs sql through every executor path over both frozen
-// (dictionary-encoded) and unfrozen data and hands each result to check.
+// collisionExecs runs sql over both frozen (dictionary-encoded) and
+// unfrozen (formatted-key) data and hands each result to check.
 func collisionExecs(t *testing.T, sql string, check func(t *testing.T, path string, res *Result)) {
 	t.Helper()
 	q, err := Parse(sql)
@@ -35,13 +35,8 @@ func collisionExecs(t *testing.T, sql string, check func(t *testing.T, path stri
 	for _, tc := range []struct {
 		path   string
 		freeze bool
-		exec   func(*relation.Database) (*Result, error)
-	}{
-		{"encoded", true, func(db *relation.Database) (*Result, error) { return Exec(db, q) }},
-		{"unfrozen", false, func(db *relation.Database) (*Result, error) { return Exec(db, q) }},
-		{"noindex", true, func(db *relation.Database) (*Result, error) { return ExecNoIndex(db, q) }},
-	} {
-		res, err := tc.exec(collisionDB(tc.freeze))
+	}{{"encoded", true}, {"unfrozen", false}} {
+		res, err := execQuery(collisionDB(tc.freeze), q)
 		if err != nil {
 			t.Fatalf("%s [%s]: %v", sql, tc.path, err)
 		}

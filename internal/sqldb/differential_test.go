@@ -1,13 +1,15 @@
-// Differential suite for the accelerated execution paths: every query the
-// seed workloads generate must produce row-for-row the same Result through
-// all three executor generations — the vectorized batch kernels (Exec, the
-// default), the integer-at-a-time encoded kernels (ExecEncoded, the PR4
-// path) and the scan-only formatted-string reference (ExecNoIndex). This
-// file is an external test package because it drives the executor through
-// internal/experiments, which itself imports sqldb.
+// Differential suite for the executor against the brute-force reference
+// evaluator (refExec, an independent nested-loop engine): every query the
+// seed workloads generate must produce the same sorted answers three ways — the
+// executor over the frozen database (dictionary encoding, batch kernels),
+// the executor over an unfrozen copy (formatted-key hashing, the path
+// computed columns take), and the reference. This file is an external test
+// package because it drives the executor through internal/experiments,
+// which itself imports sqldb.
 package sqldb_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -21,53 +23,72 @@ import (
 	"kwagg/internal/sqldb"
 )
 
-// diffThreeWay executes one statement through the batch, encoded and
-// reference paths and fails unless the sorted results are value-identical
-// and the rendered answer sets byte-identical.
-func diffThreeWay(t *testing.T, db *relation.Database, label string, q *sqlast.Query) {
+// execQuery executes a parsed statement with the default configuration.
+func execQuery(db *relation.Database, q *sqlast.Query) (*sqldb.Result, error) {
+	res, _, err := sqldb.ExecOpts(context.Background(), db, q, sqldb.ExecConfig{})
+	return res, err
+}
+
+// unfrozenCopy rebuilds db's tables, sharing their tuples, without freezing
+// them: the copy carries no dictionaries, so every hash path keys on
+// formatted values.
+func unfrozenCopy(t *testing.T, db *relation.Database) *relation.Database {
 	t.Helper()
-	batch, err := sqldb.Exec(db, q)
-	if err != nil {
-		t.Fatalf("%s: batch exec: %v", label, err)
+	out := relation.NewDatabase(db.Name)
+	for _, tb := range db.Tables() {
+		nt := relation.NewTable(tb.Schema.Clone())
+		if err := nt.AppendShared(tb.Tuples); err != nil {
+			t.Fatal(err)
+		}
+		out.Add(nt)
 	}
-	encoded, err := sqldb.ExecEncoded(db, q)
+	return out
+}
+
+// diffThreeWay executes one statement over the frozen database, over its
+// unfrozen copy and through the reference evaluator, and fails unless the
+// two executions are value-identical after sorting and the reference agrees
+// with them (see refDiff: float cells within a relative epsilon, every
+// other cell exactly).
+func diffThreeWay(t *testing.T, frozen, unfrozen *relation.Database, label string, q *sqlast.Query) {
+	t.Helper()
+	encoded, err := execQuery(frozen, q)
 	if err != nil {
-		t.Fatalf("%s: encoded exec: %v", label, err)
+		t.Fatalf("%s: exec (frozen): %v", label, err)
 	}
-	scanned, err := sqldb.ExecNoIndex(db, q)
+	formatted, err := execQuery(unfrozen, q)
 	if err != nil {
-		t.Fatalf("%s: scan exec: %v", label, err)
+		t.Fatalf("%s: exec (unfrozen): %v", label, err)
 	}
-	batch.SortRows()
+	reference, err := sqldb.RefExec(frozen, q)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
 	encoded.SortRows()
-	scanned.SortRows()
-	if !reflect.DeepEqual(batch, encoded) {
-		t.Errorf("%s: batch diverged from encoded:\nSQL: %s\nbatch:   %+v\nencoded: %+v",
-			label, q, batch, encoded)
+	formatted.SortRows()
+	if !reflect.DeepEqual(encoded, formatted) {
+		t.Errorf("%s: frozen diverged from unfrozen:\nSQL: %s\nfrozen:   %+v\nunfrozen: %+v",
+			label, q, encoded, formatted)
 	}
-	if !reflect.DeepEqual(encoded, scanned) {
-		t.Errorf("%s: encoded diverged from reference:\nSQL: %s\nencoded: %+v\nscan:    %+v",
-			label, q, encoded, scanned)
-	}
-	if b, e, s := batch.String(), encoded.String(), scanned.String(); b != e || e != s {
-		t.Errorf("%s: rendered answer sets differ:\nbatch:\n%s\nencoded:\n%s\nscan:\n%s", label, b, e, s)
+	if d := sqldb.RefDiff(encoded, reference); d != "" {
+		t.Errorf("%s: executor diverged from reference:\nSQL: %s\n%s", label, q, d)
 	}
 }
 
-// diffQueries runs every interpretation of every keyword query through the
-// three executor paths and compares the sorted results.
+// diffQueries runs every interpretation of every keyword query three ways
+// (see diffThreeWay) and compares the sorted results.
 func diffQueries(t *testing.T, s *experiments.Setup, queries []experiments.Query) {
 	t.Helper()
+	unfrozen := unfrozenCopy(t, s.Ours.Data)
 	interpretations := 0
 	for _, q := range queries {
 		ins, err := s.Ours.Interpret(q.Keywords, 0)
 		if err != nil {
 			t.Fatalf("%s %s: %v", q.ID, q.Keywords, err)
 		}
-		for i, in := range ins {
-			diffThreeWay(t, s.Ours.Data, q.ID, in.SQL)
+		for _, in := range ins {
+			diffThreeWay(t, s.Ours.Data, unfrozen, q.ID, in.SQL)
 			interpretations++
-			_ = i
 		}
 	}
 	t.Logf("%s: %d interpretations compared three ways", s.Label, interpretations)
@@ -123,7 +144,7 @@ func TestDifferentialACMDLUnnormalized(t *testing.T) {
 // TestDifferentialDatasetWorkloadsThreeWay replays every bundled dataset
 // workload (kwagg.DatasetWorkloads, the same map the chaos and plan-verifier
 // suites iterate) and checks that each interpretation's answer set is
-// byte-identical across the batch, encoded and reference paths.
+// the same three ways (see diffThreeWay).
 func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 	setups := map[string]func() (*experiments.Setup, error){
 		"university":   experiments.NewUniversity,
@@ -144,6 +165,7 @@ func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			unfrozen := unfrozenCopy(t, s.Ours.Data)
 			interpretations := 0
 			for _, kw := range queries {
 				ins, err := s.Ours.Interpret(kw, 0)
@@ -151,7 +173,7 @@ func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 					t.Fatalf("%s: %v", kw, err)
 				}
 				for _, in := range ins {
-					diffThreeWay(t, s.Ours.Data, name+"/"+kw, in.SQL)
+					diffThreeWay(t, s.Ours.Data, unfrozen, name+"/"+kw, in.SQL)
 					interpretations++
 				}
 			}
@@ -162,8 +184,8 @@ func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 
 // TestDifferentialEqualityCorners hand-builds rows around the index's edge
 // cases — NULLs, a literal "NULL" string (which shares the NULL rows' index
-// key after Format), int vs float constants — and checks all three executor
-// paths agree on direct equality filters.
+// key after Format), int vs float constants — and checks the three ways
+// agree on direct equality filters.
 func TestDifferentialEqualityCorners(t *testing.T) {
 	db := relation.NewDatabase("corners")
 	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Qty INT", "Price FLOAT").Key("Id"))
@@ -174,6 +196,7 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 	item.MustInsert("i5", "widget", int64(5), 1.5)
 	item.MustInsert("i6", "widget", int64(0), 0.0)
 	item.MustInsert("i7", "widget", int64(0), math.Copysign(0, -1)) // negative zero
+	unfrozen := unfrozenCopy(t, db)
 	db.Freeze()
 
 	for _, sql := range []string{
@@ -186,18 +209,18 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 		// unmatched constant: empty either way
 		"SELECT I.Id FROM Item I WHERE I.Qty = 99",
 		// float constant: not indexable, but the dictionary-ID kernel path
-		// answers it (with boxed re-verification) and all paths must agree
+		// answers it (with boxed re-verification) and all three must agree
 		"SELECT I.Id FROM Item I WHERE I.Price = 1.5",
 		// float zero: Format splits "0"/"-0" while Compare does not, so the
 		// kernel path must decline (dictableEq) and fall back to the Compare
-		// scan — rows i6 and i7 both match on every path
+		// scan — rows i6 and i7 both match every way
 		"SELECT I.Id FROM Item I WHERE I.Price = 0.0",
 	} {
 		q, err := sqldb.Parse(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		diffThreeWay(t, db, sql, q)
+		diffThreeWay(t, db, unfrozen, sql, q)
 	}
 
 	// Pin the specific trap: Format(nil) == "NULL" == Format("NULL"), so the
@@ -207,7 +230,7 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sqldb.Exec(db, q)
+	res, err := execQuery(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,64 +65,17 @@ func (r *Result) SortRows() {
 	})
 }
 
-// ExecSQL parses and executes a SQL statement against db.
+// ExecSQL parses and executes a SQL statement against db: Parse, then
+// ExecOpts with no context and the default configuration. It is the
+// convenience entry for callers without a context in scope (CLIs, examples,
+// tests); request paths call ExecOpts.
 func ExecSQL(db *relation.Database, sql string) (*Result, error) {
 	q, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return Exec(db, q)
-}
-
-// Exec evaluates the query against db. Equality predicates on base-table
-// scans are answered from the per-table value index (built eagerly when the
-// database is frozen at open time, lazily otherwise), and on frozen databases
-// the hash paths — joins, GROUP BY, DISTINCT, equality filters — run over the
-// tables' dictionary encoding (dense uint32 IDs instead of formatted
-// strings), decoding back to values only at projection time.
-func Exec(db *relation.Database, q *sqlast.Query) (*Result, error) {
-	e := &executor{db: db}
-	return e.query(q)
-}
-
-// ExecContext is Exec honoring cancellation: evaluation checks the context
-// between operator phases and every rowCheckInterval rows inside scan, filter
-// and join loops, returning the context's error mid-statement instead of
-// running a doomed query to completion. A context that cannot be cancelled
-// (Background) costs nothing: the checks are compiled out by a nil test.
-func ExecContext(ctx context.Context, db *relation.Database, q *sqlast.Query) (*Result, error) {
-	e := &executor{db: db}
-	if ctx != nil && ctx.Done() != nil {
-		e.ctx = ctx
-	}
-	return e.query(q)
-}
-
-// ExecNoIndex evaluates the query with the value-index fast path and the
-// dictionary-encoded kernels disabled, scanning every filter and hashing
-// formatted values. It exists as a reference path for differential tests
-// (accelerated execution must be row-for-row identical) and benchmarks.
-func ExecNoIndex(db *relation.Database, q *sqlast.Query) (*Result, error) {
-	e := &executor{db: db, noIndex: true}
-	return e.query(q)
-}
-
-// ExecSharded evaluates the query with the batch kernels driven
-// shard-parallel by up to workers goroutines (see parallel.go). Answers are
-// row- and byte-identical to Exec; workers <= 1 is exactly Exec.
-func ExecSharded(db *relation.Database, q *sqlast.Query, workers int) (*Result, error) {
-	e := &executor{db: db, par: workers}
-	return e.query(q)
-}
-
-// ExecEncoded evaluates the query with the batch kernels disabled but the
-// dictionary-encoded integer-at-a-time kernels (and the value index) on —
-// the PR4 execution mode. It is the middle rung of the three-way
-// differential ladder (batch vs encoded vs reference) and the baseline the
-// batch kernels are benchmarked against.
-func ExecEncoded(db *relation.Database, q *sqlast.Query) (*Result, error) {
-	e := &executor{db: db, noBatch: true}
-	return e.query(q)
+	res, _, err := ExecOpts(context.Background(), db, q, ExecConfig{})
+	return res, err
 }
 
 type boundCol struct {
@@ -191,6 +144,11 @@ func (rs *rowset) has(c sqlast.Col) bool {
 // Format rendering otherwise. Two rows of the same rowset get equal keys
 // exactly when every selected column pair formats equally — unlike the old
 // "\x1f"-joined keys, values containing the separator cannot alias.
+//
+// The formatted-key half (here, appendJoinKey and the string-keyed DISTINCT
+// aggregate) is needed only for columns that carry no dictionary: computed
+// aggregate outputs, which a derived table can feed into an outer GROUP BY,
+// DISTINCT or join, and tables of a database that was never frozen.
 func (rs *rowset) appendHashKey(buf []byte, ri int, idx []int) []byte {
 	st := len(rs.cols)
 	for _, i := range idx {
@@ -226,12 +184,10 @@ func appendFormatted(buf []byte, v relation.Value) []byte {
 }
 
 type executor struct {
-	db      *relation.Database
-	noIndex bool            // disable index + encoded fast paths (test hook)
-	noBatch bool            // disable batch kernels: integer-at-a-time reference
-	ctx     context.Context // non-nil only when cancellable (see ExecContext)
-	ops     uint            // row-touch counter for amortized ctx checks
-	memo    *Memo           // shared-subplan cache; nil = no memoization
+	db   *relation.Database
+	ctx  context.Context // non-nil only when cancellable (see ExecOpts)
+	ops  uint            // row-touch counter for amortized ctx checks
+	memo *Memo           // shared-subplan cache; nil = no memoization
 
 	// Shard-parallel configuration (see parallel.go): the worker target for
 	// the batch-kernel drivers (<=1 runs everything sequentially) and the
@@ -519,10 +475,8 @@ func (e *executor) source(tr sqlast.TableRef) (*rowset, error) {
 		return nil, fmt.Errorf("sqldb: unknown relation %q", tr.Name)
 	}
 	rs := &rowset{rows: t.Tuples, base: t}
-	if !e.noIndex {
-		if dicts, enc, ok := t.Encoding(); ok {
-			rs.dicts, rs.enc = dicts, enc
-		}
+	if dicts, enc, ok := t.Encoding(); ok {
+		rs.dicts, rs.enc = dicts, enc
 	}
 	if e.memo != nil {
 		rs.key = "scan|" + strings.ToLower(tr.Name) + "|" + strings.ToLower(alias)
@@ -601,7 +555,7 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !e.noIndex && indexableEq(rs, p) {
+		if indexableEq(rs, p) {
 			// Index lookup instead of a scan: candidates come from the value
 			// index (ascending row ids, so scan order is preserved) and are
 			// re-verified with Compare, which also rejects NULLs colliding
@@ -614,41 +568,25 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 			}
 			return out, nil
 		}
-		if !e.noIndex && pp.Op == sqlast.OpEq && rs.encoded(i) && dictableEq(pp.Value) {
+		if pp.Op == sqlast.OpEq && rs.encoded(i) && dictableEq(pp.Value) {
 			// Encoded equality on a derived rowset (post-filter, post-join or
-			// subquery output): compare dictionary IDs instead of formatting
-			// each row, re-verifying candidates exactly like the index path.
+			// subquery output): a branch-free per-block kernel compares
+			// dictionary IDs into the selection bitset, then the gather emits
+			// only the selected rows, preallocated to the match count and
+			// re-verified with Compare exactly like the index path.
 			id, ok := rs.dicts[i].ID(pp.Value)
 			if !ok {
 				return out, nil
 			}
-			if e.batchOn() {
-				// Batch form: a branch-free per-block kernel fills the
-				// selection bitset, then the gather emits (and re-verifies)
-				// only the selected rows, preallocated to the match count.
-				sel, err := e.fillFilterBits(rs, i, id, nil)
-				if err != nil {
-					return nil, err
-				}
-				err = e.gatherSelected(rs, sel, out, func(ri int) bool {
-					v := rs.rows[ri][i]
-					return !relation.Null(v) && relation.Compare(v, pp.Value) == 0
-				})
-				return out, err
+			sel, err := e.fillFilterBits(rs, i, id, nil)
+			if err != nil {
+				return nil, err
 			}
-			for ri := range rs.rows {
-				if err := e.step(); err != nil {
-					return nil, err
-				}
-				if rs.enc[ri*st+i] != id {
-					continue
-				}
+			err = e.gatherSelected(rs, sel, out, func(ri int) bool {
 				v := rs.rows[ri][i]
-				if !relation.Null(v) && relation.Compare(v, pp.Value) == 0 {
-					emit(ri)
-				}
-			}
-			return out, nil
+				return !relation.Null(v) && relation.Compare(v, pp.Value) == 0
+			})
+			return out, err
 		}
 		for ri, row := range rs.rows {
 			if err := e.step(); err != nil {
@@ -682,46 +620,29 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d := dictFor(rs, i); d != nil && d.AllStrings() && d.Len() <= len(rs.rows) {
+		if rs.encoded(i) && rs.dicts[i].AllStrings() && rs.dicts[i].Len() <= len(rs.rows) {
+			d := rs.dicts[i]
 			// Evaluate the substring match once per dictionary entry instead
-			// of once per row. Sound only when every encoded value is a
-			// string: with mixed types one ID can cover values of different
-			// dynamic types, and the per-entry answer would be wrong for
-			// some of its rows.
-			if e.batchOn() {
-				// Batch form: the per-entry answers become a bitset over the
-				// ID space, and the per-row pass is a branch-free bit lookup
-				// into it. AllStrings implies no NULL rows (NULL is not a
-				// string), so no re-verification is needed — exactly like
-				// the integer-at-a-time keep table.
-				keep := make([]uint64, (d.Len()+63)/64)
-				for id := 0; id < d.Len(); id++ {
-					s, _ := d.Value(uint32(id)).(string)
-					if relation.ContainsFold(s, pp.Needle) {
-						keep[id>>6] |= 1 << (uint(id) & 63)
-					}
-				}
-				sel, err := e.fillFilterBits(rs, i, 0, keep)
-				if err != nil {
-					return nil, err
-				}
-				err = e.gatherSelected(rs, sel, out, nil)
-				return out, err
-			}
-			keep := make([]bool, d.Len())
-			for id := range keep {
+			// of once per row: the per-entry answers become a bitset over
+			// the ID space, and the per-row pass is a branch-free bit lookup
+			// into it. Sound only when every encoded value is a string: with
+			// mixed types one ID can cover values of different dynamic
+			// types, and the per-entry answer would be wrong for some of its
+			// rows. AllStrings also implies no NULL rows (NULL is not a
+			// string), so no re-verification is needed.
+			keep := make([]uint64, (d.Len()+63)/64)
+			for id := 0; id < d.Len(); id++ {
 				s, _ := d.Value(uint32(id)).(string)
-				keep[id] = relation.ContainsFold(s, pp.Needle)
-			}
-			for ri := range rs.rows {
-				if err := e.step(); err != nil {
-					return nil, err
-				}
-				if keep[rs.enc[ri*st+i]] {
-					emit(ri)
+				if relation.ContainsFold(s, pp.Needle) {
+					keep[id>>6] |= 1 << (uint(id) & 63)
 				}
 			}
-			return out, nil
+			sel, err := e.fillFilterBits(rs, i, 0, keep)
+			if err != nil {
+				return nil, err
+			}
+			err = e.gatherSelected(rs, sel, out, nil)
+			return out, err
 		}
 		for ri, row := range rs.rows {
 			if err := e.step(); err != nil {
@@ -791,20 +712,11 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 	return out, nil
 }
 
-// dictFor returns column i's dictionary when the encoded fast paths may use
-// it, nil otherwise.
-func dictFor(rs *rowset, i int) *relation.Dict {
-	if !rs.encoded(i) {
-		return nil
-	}
-	return rs.dicts[i]
-}
-
 // join combines two rowsets. With equality predicates it hash-joins —
 // over dictionary IDs when every key column is encoded (a per-column
 // translation table bridges the two sides' ID spaces), over length-prefixed
-// formatted keys otherwise. Without predicates it produces the cross
-// product.
+// formatted keys when some key column has no dictionary (see
+// appendHashKey). Without predicates it produces the cross product.
 func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, error) {
 	lst, rst := len(left.cols), len(right.cols)
 	out := &rowset{cols: make([]boundCol, 0, lst+rst)}
@@ -927,48 +839,22 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 			}
 		}
 		remap := left.dicts[li].RemapCached(right.dicts[ri])
-		if e.batchOn() {
-			if e.parFor(len(left.rows)) > 1 {
-				// Shard-parallel probe: per-shard match collection, then an
-				// exactly-preallocated materialization at prefix-sum offsets
-				// (see parProbe). Output is byte-identical to batchProbe.
-				if err := e.parProbe(left, right, li, remap, denseHeads, mapHeads, next, out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			// Batch probe: translate a block of probe IDs through the remap
-			// table, mask misses and NULLs branch-free, walk chains only for
-			// the packed survivors (see batchProbe).
-			if err := e.batchProbe(left, li, remap, denseHeads, mapHeads, next, emit); err != nil {
+		if e.parFor(len(left.rows)) > 1 {
+			// Shard-parallel probe: per-shard match collection, then an
+			// exactly-preallocated materialization at prefix-sum offsets
+			// (see parProbe). Output is byte-identical to batchProbe.
+			if err := e.parProbe(left, right, li, remap, denseHeads, mapHeads, next, out); err != nil {
 				return nil, err
 			}
 			return out, nil
 		}
-		headOf := func(id uint32) int32 {
-			if denseHeads != nil {
-				return denseHeads[id]
-			}
-			if h, ok := mapHeads[id]; ok {
-				return h
-			}
-			return -1
+		// Batch probe: translate a block of probe IDs through the remap
+		// table, mask misses and NULLs branch-free, walk chains only for the
+		// packed survivors (see batchProbe).
+		if err := e.batchProbe(left, li, remap, denseHeads, mapHeads, next, emit); err != nil {
+			return nil, err
 		}
-		for lj, lr := range left.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			if relation.Null(lr[li]) {
-				continue
-			}
-			id := remap[left.enc[lj*lst+li]]
-			if id == relation.NoID {
-				continue
-			}
-			for rj := headOf(id); rj >= 0; rj = next[rj] {
-				emit(lj, int(rj))
-			}
-		}
+		return out, nil
 	case encKeys && len(eqs) == 2:
 		// Two encoded keys pack into one uint64, chained exactly like the
 		// single-key kernel: no per-row allocation on either side.
@@ -1064,9 +950,9 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 			}
 		}
 	default:
-		// Unencoded fallback: length-prefixed formatted keys. Like the
-		// encoded kernels these cannot alias values containing the old
-		// "\x1f" separator.
+		// A key column without a dictionary (see appendHashKey):
+		// length-prefixed formatted keys. Like the encoded kernels these
+		// cannot alias values containing the old "\x1f" separator.
 		slots := make(map[string]int, len(right.rows))
 		var lists [][]int
 		var buf []byte
@@ -1214,7 +1100,7 @@ func (e *executor) project(rs *rowset, q *sqlast.Query, wantEnc bool) (*rowset, 
 			break
 		}
 	}
-	if e.batchOn() && len(rs.rows) > 0 && (len(gidx) == 0 || allEnc) {
+	if len(rs.rows) > 0 && (len(gidx) == 0 || allEnc) {
 		var rowSlot []int32
 		var bfirsts []int
 		var sizes []int32
@@ -1259,73 +1145,12 @@ func (e *executor) project(rs *rowset, q *sqlast.Query, wantEnc bool) (*rowset, 
 			lists = carveLists(rowSlot, sizes)
 		}
 	}
-	switch {
-	case lists != nil:
-		// Grouped by the batch path above.
-	case len(gidx) == 1 && allEnc:
-		// Single encoded group key: no per-row key building at all. When the
-		// dictionary is small relative to the input, slot lookup is a dense
-		// array index; otherwise a uint32-keyed map.
-		g := gidx[0]
-		if nd := rs.dicts[g].Len(); nd <= 4*len(rs.rows)+1024 {
-			slotOf := make([]int32, nd)
-			for i := range slotOf {
-				slotOf[i] = -1
-			}
-			for ri := range rs.rows {
-				if err := e.step(); err != nil {
-					return nil, err
-				}
-				id := rs.enc[ri*st+g]
-				slot := slotOf[id]
-				if slot < 0 {
-					slot = int32(len(lists))
-					slotOf[id] = slot
-					lists = append(lists, nil)
-					firsts = append(firsts, ri)
-				}
-				lists[slot] = append(lists[slot], ri)
-			}
-		} else {
-			slots := make(map[uint32]int)
-			for ri := range rs.rows {
-				if err := e.step(); err != nil {
-					return nil, err
-				}
-				id := rs.enc[ri*st+g]
-				slot, ok := slots[id]
-				if !ok {
-					slot = len(lists)
-					slots[id] = slot
-					lists = append(lists, nil)
-					firsts = append(firsts, ri)
-				}
-				lists[slot] = append(lists[slot], ri)
-			}
-		}
-	case len(gidx) == 2 && allEnc:
-		// Two encoded group keys pack into one uint64 — no byte-buffer
-		// hashing, no string interning per group.
-		g0, g1 := gidx[0], gidx[1]
-		slots := make(map[uint64]int)
-		for ri := range rs.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			key := uint64(rs.enc[ri*st+g0]) | uint64(rs.enc[ri*st+g1])<<32
-			slot, ok := slots[key]
-			if !ok {
-				slot = len(lists)
-				slots[key] = slot
-				lists = append(lists, nil)
-				firsts = append(firsts, ri)
-			}
-			lists[slot] = append(lists[slot], ri)
-		}
-	case len(gidx) > 0:
-		// General path: packed IDs for encoded key columns, length-prefixed
-		// formats for the rest. Lookups through map[string(buf)] are
-		// allocation-free; a new group interns its key once.
+	if lists == nil && len(gidx) > 0 {
+		// No batch kernel for this shape — three or more key columns, or a
+		// key column without a dictionary (see appendHashKey): packed IDs
+		// for encoded key columns, length-prefixed formats for the rest.
+		// Lookups through map[string(buf)] are allocation-free; a new group
+		// interns its key once.
 		slots := make(map[string]int)
 		var buf []byte
 		for ri := range rs.rows {
@@ -1341,16 +1166,6 @@ func (e *executor) project(rs *rowset, q *sqlast.Query, wantEnc bool) (*rowset, 
 				firsts = append(firsts, ri)
 			}
 			lists[slot] = append(lists[slot], ri)
-		}
-	default:
-		// Aggregates without GROUP BY: one group holding every row.
-		if len(rs.rows) > 0 {
-			all := make([]int, len(rs.rows))
-			for i := range all {
-				all[i] = i
-			}
-			lists = [][]int{all}
-			firsts = []int{0}
 		}
 	}
 	synthetic := false

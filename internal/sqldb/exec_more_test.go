@@ -94,7 +94,7 @@ func TestColComparePredEquality(t *testing.T) {
 			Right: sqlast.Col{Table: "S2", Column: "Sid"},
 		}},
 	}
-	res, err := Exec(uniDB(t), q)
+	res, err := execQuery(uniDB(t), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package sqldb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"kwagg/internal/dataset/university"
 	"kwagg/internal/relation"
+	"kwagg/internal/sqlast"
 )
 
 func uniDB(t *testing.T) *relation.Database {
@@ -23,6 +25,13 @@ func run(t *testing.T, db *relation.Database, sql string) *Result {
 	}
 	res.SortRows()
 	return res
+}
+
+// execQuery executes a parsed statement with the default configuration: no
+// cancellable context, no memo, single-shard.
+func execQuery(db *relation.Database, q *sqlast.Query) (*Result, error) {
+	res, _, err := ExecOpts(context.Background(), db, q, ExecConfig{})
+	return res, err
 }
 
 func rowsAsStrings(res *Result) []string {

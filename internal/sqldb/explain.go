@@ -11,7 +11,7 @@ import (
 // Plan describes how the executor would evaluate a query: the sources with
 // their cardinalities, the join order it picks, and which predicates are
 // pushed below the joins. It exists for debugging and for the CLI's \plan
-// command; building it runs the same planning code paths as Exec but
+// command; building it runs the same planning code paths as ExecOpts but
 // evaluates only derived tables' plans, never the data.
 type Plan struct {
 	Sources []PlanSource
@@ -126,7 +126,7 @@ func Explain(db *relation.Database, q *sqlast.Query) (*Plan, error) {
 		}
 	}
 
-	// Mirror the greedy join ordering of Exec, using cardinalities only.
+	// Mirror the greedy join ordering of ExecOpts, using cardinalities only.
 	remaining := make([]int, 0, len(sources)-1)
 	start := 0
 	for i := 1; i < len(sources); i++ {

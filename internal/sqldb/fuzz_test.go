@@ -98,10 +98,10 @@ func fuzzBlockDB() *relation.Database {
 
 // FuzzExec ensures executing arbitrary parsed statements never panics (it
 // may error) against a real database — an unfrozen one (formatted-string
-// paths) and a frozen multi-block one, where the batch and encoded kernel
-// generations are additionally run differentially: both must agree on
-// success vs error, and on success the results must be identical including
-// row order (the batch kernels' ordering guarantee).
+// paths) and a frozen multi-block one, where single-shard and
+// shard-parallel execution are additionally run differentially: both must
+// agree on success vs error, and on success the results must be identical
+// including row order (the batch kernels' ordering guarantee).
 func FuzzExec(f *testing.F) {
 	for _, seed := range corpus {
 		f.Add(seed)
@@ -125,7 +125,7 @@ func FuzzExec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = Exec(db, q) // must not panic
+		_, _ = execQuery(db, q) // must not panic
 
 		// Arbitrary SQL can build unbounded cross products over the
 		// multi-block tables; bound each differential execution with the
@@ -138,20 +138,14 @@ func FuzzExec(f *testing.F) {
 			return res, err
 		}
 		batch, berr := run(ExecConfig{})
-		encoded, eerr := run(ExecConfig{NoBatch: true})
-		// Third leg: shard-parallel drivers forced onto one-block shards.
+		// Second leg: shard-parallel drivers forced onto one-block shards.
 		sharded, serr := run(ExecConfig{Shards: 4, ShardRows: relation.BlockSize})
-		if errors.Is(berr, context.DeadlineExceeded) || errors.Is(eerr, context.DeadlineExceeded) ||
-			errors.Is(serr, context.DeadlineExceeded) {
+		if errors.Is(berr, context.DeadlineExceeded) || errors.Is(serr, context.DeadlineExceeded) {
 			return
 		}
-		if (berr == nil) != (eerr == nil) || (berr == nil) != (serr == nil) {
-			t.Fatalf("kernel generations disagree on error:\nSQL: %s\nbatch:   %v\nencoded: %v\nsharded: %v",
-				q, berr, eerr, serr)
-		}
-		if berr == nil && !reflect.DeepEqual(batch, encoded) {
-			t.Fatalf("batch result diverged from encoded (row order included):\nSQL: %s\nbatch:   %+v\nencoded: %+v",
-				q, batch, encoded)
+		if (berr == nil) != (serr == nil) {
+			t.Fatalf("single-shard and sharded disagree on error:\nSQL: %s\nbatch:   %v\nsharded: %v",
+				q, berr, serr)
 		}
 		if berr == nil && !reflect.DeepEqual(batch, sharded) {
 			t.Fatalf("sharded result diverged from batch (row order included):\nSQL: %s\nbatch:   %+v\nsharded: %+v",

@@ -191,21 +191,15 @@ type ExecStats struct {
 	ShardRuns int // kernel passes that actually ran shard-parallel
 }
 
-// MemoStats is the pre-sharding name of ExecStats, kept as an alias for
-// existing callers.
-type MemoStats = ExecStats
-
 // ExecConfig bundles the optional execution machinery one statement runs
-// with: the shared-subplan memo, the kernel selection and the shard-parallel
-// worker target.
+// with: the shared-subplan memo and the shard-parallel worker target.
 type ExecConfig struct {
-	// Memo is the shared-subplan cache; nil disables memoization. It may be
-	// shared between batch and integer-at-a-time executions of the same
-	// frozen database: the batch kernels preserve exact output row order, so
-	// either mode's fragments are byte-identical.
+	// Memo is the shared-subplan cache; nil disables memoization.
 	Memo *Memo
-	// NoBatch pins the integer-at-a-time encoded kernels (the PR4 execution
-	// mode) instead of the default vectorized batch kernels.
+	// NoBatch is ignored: the batch kernels are the only execution path.
+	//
+	// Deprecated: nothing reads it; it remains only because the end-to-end
+	// benchmark module (kwbench/layers.go) still sets it.
 	NoBatch bool
 	// Shards is the shard-parallel worker target for the batch kernels
 	// (see parallel.go): <=1 runs single-shard, n > 1 lets filter,
@@ -219,22 +213,24 @@ type ExecConfig struct {
 	ShardRows int
 }
 
-// ExecOpts is ExecContext with an ExecConfig: cancellation from ctx;
-// memoization, kernel selection and shard parallelism from cfg.
+// ExecOpts evaluates the query against db — the one way a statement runs.
+// Equality predicates on base-table scans are answered from the per-table
+// value index, and on frozen databases the hash paths — joins, GROUP BY,
+// DISTINCT, equality filters — run the batch kernels over the tables'
+// dictionary encoding, decoding back to values only at projection time.
+//
+// Evaluation honors cancellation: it checks ctx between operator phases and
+// once per block (or every rowCheckInterval rows) inside scan, filter and
+// join loops, returning the context's error mid-statement instead of running
+// a doomed query to completion. A context that cannot be cancelled
+// (Background) costs nothing: the checks are compiled out by a nil test.
+// Memoization and shard parallelism come from cfg; the returned ExecStats
+// report how the statement used them.
 func ExecOpts(ctx context.Context, db *relation.Database, q *sqlast.Query, cfg ExecConfig) (*Result, ExecStats, error) {
-	e := &executor{db: db, memo: cfg.Memo, noBatch: cfg.NoBatch, par: cfg.Shards, shardRows: cfg.ShardRows}
+	e := &executor{db: db, memo: cfg.Memo, par: cfg.Shards, shardRows: cfg.ShardRows}
 	if ctx != nil && ctx.Done() != nil {
 		e.ctx = ctx
 	}
 	res, err := e.query(q)
 	return res, ExecStats{Hits: e.memoHits, Misses: e.memoMisses, ShardRuns: e.shardRuns}, err
-}
-
-// ExecMemoContext is ExecContext with shared-subplan memoization: filtered
-// scans, join accumulations and derived tables are cached in m under their
-// canonical subplan keys and reused across statements and requests. m must
-// only be shared across executions of the same immutable (frozen) database;
-// a nil m degrades to plain ExecContext.
-func ExecMemoContext(ctx context.Context, db *relation.Database, q *sqlast.Query, m *Memo) (*Result, MemoStats, error) {
-	return ExecOpts(ctx, db, q, ExecConfig{Memo: m})
 }

@@ -1,12 +1,11 @@
 // Differential suite for the shared-subplan memo: executing every workload
 // interpretation twice through one shared memo — the second pass served
-// largely from cached fragments — must stay row-for-row identical to the
-// scan-only reference path.
+// largely from cached fragments — must produce the same sorted rows as the
+// brute-force reference evaluator (see refDiff).
 package sqldb_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"kwagg/internal/dataset/tpch"
@@ -26,20 +25,17 @@ func diffQueriesMemo(t *testing.T, s *experiments.Setup, queries []experiments.Q
 				t.Fatalf("%s %s: %v", q.ID, q.Keywords, err)
 			}
 			for i, in := range ins {
-				memoed, st, err := sqldb.ExecMemoContext(ctx, s.Ours.Data, in.SQL, m)
+				memoed, st, err := sqldb.ExecOpts(ctx, s.Ours.Data, in.SQL, sqldb.ExecConfig{Memo: m})
 				if err != nil {
 					t.Fatalf("%s interpretation %d: memo exec: %v", q.ID, i, err)
 				}
 				hits += st.Hits
-				scanned, err := sqldb.ExecNoIndex(s.Ours.Data, in.SQL)
+				want, err := sqldb.RefExec(s.Ours.Data, in.SQL)
 				if err != nil {
-					t.Fatalf("%s interpretation %d: scan exec: %v", q.ID, i, err)
+					t.Fatalf("%s interpretation %d: reference: %v", q.ID, i, err)
 				}
-				memoed.SortRows()
-				scanned.SortRows()
-				if !reflect.DeepEqual(memoed, scanned) {
-					t.Errorf("%s interpretation %d pass %d diverged:\nSQL: %s\nmemo: %+v\nscan: %+v",
-						q.ID, i, pass, in.SQL, memoed, scanned)
+				if d := sqldb.RefDiff(memoed, want); d != "" {
+					t.Errorf("%s interpretation %d pass %d diverged:\nSQL: %s\n%s", q.ID, i, pass, in.SQL, d)
 				}
 			}
 		}

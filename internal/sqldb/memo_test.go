@@ -159,10 +159,10 @@ func TestMemoAcquireHonorsContext(t *testing.T) {
 	}
 }
 
-// TestExecMemoContextReusesFragments executes statements sharing a join shape
+// TestExecOptsMemoReusesFragments executes statements sharing a join shape
 // through one memo and checks both the hit accounting and that memoized
-// results stay identical to the reference path.
-func TestExecMemoContextReusesFragments(t *testing.T) {
+// results stay identical to the brute-force reference.
+func TestExecOptsMemoReusesFragments(t *testing.T) {
 	db := university.New()
 	db.Freeze()
 	m := NewMemo(1 << 20)
@@ -179,19 +179,17 @@ func TestExecMemoContextReusesFragments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := ExecMemoContext(context.Background(), db, q, m)
+			got, st, err := ExecOpts(context.Background(), db, q, ExecConfig{Memo: m})
 			if err != nil {
 				t.Fatalf("pass %d %s: %v", pass, sql, err)
 			}
 			totalHits += st.Hits
-			want, err := ExecNoIndex(db, q)
+			want, err := refExec(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.SortRows()
-			want.SortRows()
-			if got.String() != want.String() {
-				t.Errorf("pass %d %s diverged:\nmemo:\n%s\nref:\n%s", pass, sql, got, want)
+			if d := refDiff(got, want); d != "" {
+				t.Errorf("pass %d %s diverged: %s", pass, sql, d)
 			}
 		}
 	}
@@ -203,7 +201,7 @@ func TestExecMemoContextReusesFragments(t *testing.T) {
 	}
 	// A nil memo must degrade to plain execution.
 	q, _ := Parse(sqls[0])
-	res, st, err := ExecMemoContext(context.Background(), db, q, nil)
+	res, st, err := ExecOpts(context.Background(), db, q, ExecConfig{})
 	if err != nil || res == nil {
 		t.Fatalf("nil memo: %v, %v", res, err)
 	}

@@ -63,7 +63,7 @@ func (e *executor) shardSize() int {
 // benchmarks measure, the sequential path even when shards are requested.
 // Everything below 2 means "run the sequential code".
 func (e *executor) parFor(n int) int {
-	if e.par <= 1 || e.noIndex || e.noBatch {
+	if e.par <= 1 {
 		return 1
 	}
 	p := e.par
@@ -455,7 +455,7 @@ func (e *executor) parGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, first
 // parAggregate computes a grouped projection with the per-slot folds
 // distributed over contiguous slot ranges: each slot's rows — carved in
 // ascending row order by the counting sort — are folded by exactly one
-// worker with the same aggregate() the integer path uses, so every fold
+// worker with the same aggregate() the per-list fold uses, so every fold
 // (float sums included) associates exactly as the single-shard fold does.
 // Covers DISTINCT aggregates too, since aggregate() does. A non-DISTINCT
 // COUNT over a NULL-free column short-circuits to the group size (the same

@@ -38,8 +38,8 @@ func TestParForCaps(t *testing.T) {
 	if got := e.parFor(2 * relation.BlockSize); got > 2 || got > g {
 		t.Errorf("parFor over 2 shards = %d (GOMAXPROCS %d)", got, g)
 	}
-	// The reference and encoded modes never parallelize.
-	for _, e := range []*executor{{par: 8, noIndex: true}, {par: 8, noBatch: true}, {par: 0}, {par: 1}} {
+	// Targets below 2 never parallelize.
+	for _, e := range []*executor{{par: 0}, {par: 1}} {
 		if got := e.parFor(1 << 20); got != 1 {
 			t.Errorf("parFor on %+v = %d, want 1", e, got)
 		}
@@ -103,9 +103,9 @@ func TestShardedCancellation(t *testing.T) {
 	}
 }
 
-// TestExecShardedMatchesExec is the direct-API smoke check (the full
+// TestShardedMatchesSingleShard is the direct smoke check (the full
 // differential lives in sharddiff_test.go): same rows, same order.
-func TestExecShardedMatchesExec(t *testing.T) {
+func TestShardedMatchesSingleShard(t *testing.T) {
 	db := relation.NewDatabase("smoke")
 	tb := db.AddSchema(relation.NewSchema("T", "K INT", "V INT", "F FLOAT").Key("V"))
 	for i := 0; i < 3*relation.BlockSize+100; i++ {
@@ -116,7 +116,7 @@ func TestExecShardedMatchesExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Exec(db, q)
+	want, err := execQuery(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

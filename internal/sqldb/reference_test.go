@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -12,13 +14,25 @@ import (
 )
 
 // refExec is an independent reference evaluator used for differential
-// testing: it materializes the full cross product of the FROM sources, then
-// filters, groups, aggregates and projects — no predicate pushdown, no hash
-// joins, no join ordering. Any divergence from Exec is a bug in one of them.
+// testing: nested loops over the FROM sources in FROM order, then grouping,
+// aggregation and projection — no hash joins, no join ordering, no
+// dictionaries or indexes. It shares no evaluation code with the executor,
+// so any divergence from ExecOpts is a bug in one of them.
+//
+// The WHERE clause is a conjunction, so each conjunct is applied as soon as
+// the nested loops have bound every column it reads; the product is never
+// materialized beyond the rows that survive the conjuncts seen so far,
+// which keeps the oracle usable on multi-block tables and the dataset
+// workloads. Columns resolve against the full FROM list, exactly as they
+// would over the complete product.
 func refExec(db *relation.Database, q *sqlast.Query) (*Result, error) {
+	if len(q.From) == 0 {
+		return nil, fmt.Errorf("ref: query has no FROM clause")
+	}
 	type col struct{ table, name string }
 	var cols []col
-	rows := []relation.Tuple{{}}
+	var sources [][]relation.Tuple
+	var widths []int // widths[k]: columns bound once sources 0..k are
 	for _, tr := range q.From {
 		var names []string
 		var data []relation.Tuple
@@ -38,16 +52,8 @@ func refExec(db *relation.Database, q *sqlast.Query) (*Result, error) {
 		for _, n := range names {
 			cols = append(cols, col{table: tr.Alias, name: n})
 		}
-		var next []relation.Tuple
-		for _, acc := range rows {
-			for _, r := range data {
-				row := make(relation.Tuple, 0, len(acc)+len(r))
-				row = append(row, acc...)
-				row = append(row, r...)
-				next = append(next, row)
-			}
-		}
-		rows = next
+		sources = append(sources, data)
+		widths = append(widths, len(cols))
 	}
 
 	resolve := func(c sqlast.Col) (int, error) {
@@ -70,23 +76,64 @@ func refExec(db *relation.Database, q *sqlast.Query) (*Result, error) {
 		return found, nil
 	}
 
-	// Filter by the full conjunction.
-	var kept []relation.Tuple
-	for _, row := range rows {
-		ok := true
-		for _, p := range q.Where {
-			match, err := refPred(row, p, resolve)
+	// Attach every conjunct to the first loop level that binds all of its
+	// columns, with a resolver over just those columns for the inner loop.
+	type boundPred struct {
+		p       sqlast.Pred
+		resolve func(sqlast.Col) (int, error)
+	}
+	at := make([][]boundPred, len(sources))
+	for _, p := range q.Where {
+		pcols := refPredCols(p)
+		idx := make([]int, len(pcols))
+		last := 0
+		for k, c := range pcols {
+			i, err := resolve(c)
 			if err != nil {
 				return nil, err
 			}
-			if !match {
-				ok = false
-				break
+			idx[k] = i
+			last = max(last, i)
+		}
+		k := 0
+		for widths[k] <= last {
+			k++
+		}
+		at[k] = append(at[k], boundPred{p: p, resolve: func(c sqlast.Col) (int, error) {
+			for j, pc := range pcols {
+				if pc == c {
+					return idx[j], nil
+				}
+			}
+			return resolve(c)
+		}})
+	}
+
+	kept := []relation.Tuple{{}}
+	var scratch relation.Tuple
+	for k, data := range sources {
+		var next []relation.Tuple
+		for _, acc := range kept {
+			scratch = append(scratch[:0], acc...)
+			for _, r := range data {
+				scratch = append(scratch[:len(acc)], r...)
+				ok := true
+				for _, bp := range at[k] {
+					match, err := refPred(scratch, bp.p, bp.resolve)
+					if err != nil {
+						return nil, err
+					}
+					if !match {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					next = append(next, append(relation.Tuple(nil), scratch...))
+				}
 			}
 		}
-		if ok {
-			kept = append(kept, row)
-		}
+		kept = next
 	}
 
 	// Group and project.
@@ -331,6 +378,22 @@ func refPred(row relation.Tuple, p sqlast.Pred, resolve func(sqlast.Col) (int, e
 	}
 }
 
+// refPredCols lists the columns a predicate reads.
+func refPredCols(p sqlast.Pred) []sqlast.Col {
+	switch pp := p.(type) {
+	case sqlast.JoinPred:
+		return []sqlast.Col{pp.Left, pp.Right}
+	case sqlast.ColComparePred:
+		return []sqlast.Col{pp.Left, pp.Right}
+	case sqlast.ComparePred:
+		return []sqlast.Col{pp.Col}
+	case sqlast.ContainsPred:
+		return []sqlast.Col{pp.Col}
+	default:
+		return nil
+	}
+}
+
 func cmpMatches(op sqlast.CmpOp, c int) bool {
 	switch op {
 	case sqlast.OpEq:
@@ -349,17 +412,70 @@ func cmpMatches(op sqlast.CmpOp, c int) bool {
 	return false
 }
 
+// refFloatEps is the relative tolerance for float cells when an execution
+// is compared with refExec: the reference sums float columns in its own
+// nested-loop row order, and float addition is not associative. 1e-9 is
+// ~1e7 ULPs of double precision — far wider than summation-order drift on
+// the test data, far tighter than any real divergence. Every other cell
+// must match exactly.
+const refFloatEps = 1e-9
+
+// refDiff sorts both results canonically and compares an execution's
+// result with refExec's, returning "" when they agree and the first
+// difference otherwise.
+func refDiff(got, want *Result) string {
+	got.SortRows()
+	want.SortRows()
+	if !reflect.DeepEqual(got.Columns, want.Columns) {
+		return fmt.Sprintf("columns %v, reference %v", got.Columns, want.Columns)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		return fmt.Sprintf("%d rows, reference %d\nexecutor:\n%s\nreference:\n%s", len(got.Rows), len(want.Rows), got, want)
+	}
+	for r := range want.Rows {
+		for c := range want.Rows[r] {
+			g, w := got.Rows[r][c], want.Rows[r][c]
+			gf, gok := g.(float64)
+			wf, wok := w.(float64)
+			if gok && wok && math.Abs(gf-wf) <= refFloatEps*math.Max(math.Abs(gf), math.Abs(wf)) {
+				continue
+			}
+			if !reflect.DeepEqual(g, w) {
+				return fmt.Sprintf("row %d col %d: %v (%T), reference %v (%T)\nexecutor:\n%s\nreference:\n%s",
+					r, c, g, g, w, w, got, want)
+			}
+		}
+	}
+	return ""
+}
+
 func canonicalRows(res *Result) []string {
 	out := rowsAsStrings(res)
 	sort.Strings(out)
 	return out
 }
 
-// TestDifferentialAgainstReference compares the optimized executor against
-// the brute-force reference on hundreds of random queries over the
-// university database.
+// TestDifferentialAgainstReference compares the executor against the
+// brute-force reference on hundreds of random queries over the university
+// database, twice with the same seed: unfrozen, where every hash path keys
+// on formatted values, and frozen, where the dictionary encoding routes the
+// same statements through the batch kernels.
 func TestDifferentialAgainstReference(t *testing.T) {
-	db := uniDB(t)
+	frozen := uniDB(t)
+	frozen.Freeze()
+	for _, in := range []struct {
+		name string
+		db   *relation.Database
+	}{{"unfrozen", uniDB(t)}, {"frozen", frozen}} {
+		t.Run(in.name, func(t *testing.T) { diffRandomAgainstReference(t, in.db) })
+	}
+}
+
+// diffRandomAgainstReference runs 500 seeded random statements through
+// ExecOpts and refExec and fails on the first divergence in validity or in
+// the sorted rows.
+func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
+	t.Helper()
 	r := rand.New(rand.NewSource(99))
 
 	type tinfo struct {
@@ -427,7 +543,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			})
 		}
 
-		got, errGot := Exec(db, q)
+		got, errGot := execQuery(db, q)
 		want, errWant := refExec(db, q)
 		if (errGot == nil) != (errWant == nil) {
 			// Both evaluators must agree on whether the query is valid

@@ -195,7 +195,7 @@ func TestSelIndexesProperty(t *testing.T) {
 
 // TestFilterKernelMatchesNaive drives the batch equality filter end to end on
 // random frozen tables — contiguous (pristine scan) and strided (derived
-// rowset) layouts — against the reference executor.
+// rowset) layouts — against the brute-force reference evaluator.
 func TestFilterKernelMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(66))
 	for trial := 0; trial < 5; trial++ {
@@ -222,18 +222,16 @@ func TestFilterKernelMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := Exec(db, q)
+			batch, err := execQuery(db, q)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, sql, err)
 			}
-			ref, err := ExecNoIndex(db, q)
+			ref, err := refExec(db, q)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, sql, err)
 			}
-			batch.SortRows()
-			ref.SortRows()
-			if batch.String() != ref.String() {
-				t.Fatalf("n=%d %s:\nbatch:\n%s\nref:\n%s", n, sql, batch.String(), ref.String())
+			if d := refDiff(batch, ref); d != "" {
+				t.Fatalf("n=%d %s: %s", n, sql, d)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ var shardConfigs = []sqldb.ExecConfig{
 // config, requiring unsorted row-for-row and byte-for-byte equality.
 func diffSharded(t *testing.T, db *relation.Database, label string, q *sqlast.Query) {
 	t.Helper()
-	want, err := sqldb.Exec(db, q)
+	want, err := execQuery(db, q)
 	if err != nil {
 		t.Fatalf("%s: batch exec: %v", label, err)
 	}

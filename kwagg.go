@@ -175,12 +175,6 @@ type Options struct {
 	// Interpret and Answer fail on any finding. The test suites and the
 	// dataset workload replays run with it on; see docs/STATIC_ANALYSIS.md.
 	VerifyPlans bool
-	// BatchKernels selects the statement executor's kernel generation:
-	// 0 (the default) and positive run the vectorized columnar batch
-	// kernels, negative pins the integer-at-a-time encoded path. The two
-	// produce byte-identical answers (gated by the three-way differential
-	// suites); the escape hatch exists for comparison and bisection.
-	BatchKernels int
 	// Shards is the shard-parallel worker target for a single statement's
 	// batch kernels: 0 means min(GOMAXPROCS, 8), 1 or negative pins
 	// single-shard execution. Answers are row- and byte-identical either
@@ -194,12 +188,6 @@ type Options struct {
 	// (the default) executes in-memory. The engine does not take ownership —
 	// Close the backend after the engine is done with it.
 	Backend backend.Backend
-	// FullRefreeze pins CommitEpoch to the from-scratch O(total rows) epoch
-	// rebuild instead of the incremental O(new rows) delta freeze. Both
-	// produce byte-identical epochs (gated by the incremental-vs-full
-	// differential suites); the escape hatch exists for comparison
-	// benchmarks and bisection, mirroring the BatchKernels idiom.
-	FullRefreeze bool
 }
 
 // Engine answers keyword queries over one database.
@@ -264,10 +252,8 @@ func coreOptions(opts *Options) *core.Options {
 		copts.Chaos = opts.Chaos
 		copts.MemoCells = opts.MemoCells
 		copts.VerifyPlans = opts.VerifyPlans
-		copts.BatchKernels = opts.BatchKernels
 		copts.Shards = opts.Shards
 		copts.Backend = opts.Backend
-		copts.FullRefreeze = opts.FullRefreeze
 	}
 	return copts
 }

@@ -12,30 +12,7 @@ import (
 
 	"kwagg"
 	"kwagg/internal/chaos"
-	"kwagg/internal/experiments"
 )
-
-// workloads lists, per bundled dataset, the keyword queries its experiments
-// (or seed tests) replay. The chaos suite runs every workload twice — once
-// fault-free, once under an injector — and demands that every answer the
-// chaos run completes is byte-identical to the fault-free run's answer for
-// the same statement: degraded, maybe; silently wrong, never.
-func workloads() map[string][]string {
-	w := map[string][]string{
-		"university": {
-			"Green SUM Credit",
-			"Green George COUNT Code",
-			"COUNT Student GROUPBY Course",
-		},
-	}
-	for _, q := range experiments.QueriesTPCH() {
-		w["tpch"] = append(w["tpch"], q.Keywords)
-	}
-	for _, q := range experiments.QueriesACMDL() {
-		w["acmdl"] = append(w["acmdl"], q.Keywords)
-	}
-	return w
-}
 
 // baselineAnswers runs the workload fault-free and returns the canonical
 // rendering of every statement's result, keyed by its SQL.
@@ -66,14 +43,15 @@ func renderResult(r kwagg.Result) string {
 }
 
 // TestChaosReplayNeverSilentlyWrong is the headline acceptance property:
-// replaying every dataset workload under a 10% injector (transient faults,
-// injected cancellations, artificial latency on every point), each query
-// either fails loudly, degrades to a partial answer with per-statement error
-// detail, or completes — and every completed statement's result is
-// byte-identical to the fault-free run's.
+// every dataset workload (kwagg.DatasetWorkloads, the denormalized setups
+// included) is replayed fault-free and then under a 10% injector (transient
+// faults, injected cancellations, artificial latency on every point). Each
+// query either fails loudly, degrades to a partial answer with
+// per-statement error detail, or completes — and every completed
+// statement's result is byte-identical to the fault-free run's.
 func TestChaosReplayNeverSilentlyWrong(t *testing.T) {
 	const k = 3
-	for name, queries := range workloads() {
+	for name, queries := range kwagg.DatasetWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			base := baselineAnswers(t, name, queries, k)
 			inj := chaos.New(chaos.Config{
@@ -142,7 +120,7 @@ func TestChaosReplayNeverSilentlyWrong(t *testing.T) {
 // 1 — every lookup forced to miss, every insert dropped — and demands fully
 // correct, complete answers throughout: cache chaos may only cost time.
 func TestChaosCachePointsStillCorrect(t *testing.T) {
-	queries := workloads()["university"]
+	queries := kwagg.DatasetWorkloads()["university"]
 	base := baselineAnswers(t, "university", queries, 2)
 	inj := chaos.New(chaos.Config{
 		Rate:   1,
@@ -341,7 +319,7 @@ func TestChaosCanceledFaultsNotRetried(t *testing.T) {
 // zero-rate injector answer identically to each other — the injection points
 // are inert when disabled.
 func TestChaosDisabledIsIdentical(t *testing.T) {
-	queries := workloads()["university"]
+	queries := kwagg.DatasetWorkloads()["university"]
 	base := baselineAnswers(t, "university", queries, 2)
 	inj := chaos.New(chaos.Config{Rate: 0, Seed: 1})
 	eng, err := kwagg.OpenDatasetOpts("university", true, &kwagg.Options{Chaos: inj, VerifyPlans: true})
@@ -364,90 +342,11 @@ func TestChaosDisabledIsIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosReplayBatchVsEncoded crosses the kernel generations with fault
-// injection: the fault-free baseline is computed with the batch kernels
-// pinned OFF (Options.BatchKernels < 0, the integer-at-a-time path), then
-// every workload is replayed under a 10% injector with the batch kernels ON.
-// Every statement the chaos run completes must render byte-identical to the
-// encoded fault-free answer — the vectorized kernels change neither results
-// nor the partial-answer degradation contract, even when faults land mid-way
-// through a block-at-a-time operator.
-func TestChaosReplayBatchVsEncoded(t *testing.T) {
-	const k = 3
-	for name, queries := range kwagg.DatasetWorkloads() {
-		name, queries := name, queries
-		t.Run(name, func(t *testing.T) {
-			// Encoded fault-free baseline.
-			enc, err := kwagg.OpenDatasetOpts(name, true, &kwagg.Options{
-				BatchKernels: -1, VerifyPlans: true})
-			if err != nil {
-				t.Fatalf("OpenDatasetOpts(%q): %v", name, err)
-			}
-			base := make(map[string]string)
-			for _, q := range queries {
-				set, err := enc.AnswerSetContext(context.Background(), q, k)
-				if err != nil {
-					t.Fatalf("%s: encoded fault-free Answer(%q): %v", name, q, err)
-				}
-				if set.Partial {
-					t.Fatalf("%s: encoded fault-free Answer(%q) reported partial", name, q)
-				}
-				for _, a := range set.Answers {
-					base[a.SQL] = renderResult(a.Result)
-				}
-			}
-
-			// Batch kernels under chaos.
-			inj := chaos.New(chaos.Config{
-				Rate:    0.1,
-				Seed:    13,
-				Cancel:  0.25,
-				Latency: 100 * time.Microsecond,
-			})
-			eng, err := kwagg.OpenDatasetOpts(name, true, &kwagg.Options{
-				Chaos: inj, VerifyPlans: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			completed := 0
-			for round := 0; round < 3; round++ {
-				for _, q := range queries {
-					set, err := eng.AnswerSetContext(context.Background(), q, k)
-					if err != nil {
-						continue // loud, total degradation — acceptable
-					}
-					for _, a := range set.Answers {
-						want, ok := base[a.SQL]
-						if !ok {
-							t.Fatalf("%q under chaos produced a statement the "+
-								"encoded run never ran:\n%s", q, a.SQL)
-						}
-						if got := renderResult(a.Result); got != want {
-							t.Fatalf("%q: batch kernels under chaos diverged from the encoded baseline\nSQL: %s\ngot:  %s\nwant: %s",
-								q, a.SQL, got, want)
-						}
-						completed++
-					}
-					// The degradation contract is kernel-independent: a partial
-					// set still carries complete failure detail.
-					if set.Partial && len(set.Failed) == 0 {
-						t.Fatalf("%q: partial set with no failure detail", q)
-					}
-				}
-			}
-			if completed == 0 {
-				t.Fatal("chaos run completed no statements; the property was vacuous")
-			}
-			t.Logf("%s: %d statements completed identical to the encoded baseline", name, completed)
-		})
-	}
-}
-
 // TestChaosConcurrentReplay hammers one chaos engine from many goroutines
 // (exercising the singleflight collapse, cache injection and the worker pool
 // under -race) and checks every completed answer against the baseline.
 func TestChaosConcurrentReplay(t *testing.T) {
-	queries := workloads()["university"]
+	queries := kwagg.DatasetWorkloads()["university"]
 	base := baselineAnswers(t, "university", queries, 2)
 	inj := chaos.New(chaos.Config{Rate: 0.1, Seed: 11, Cancel: 0.25,
 		Latency: 100 * time.Microsecond})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,13 +174,22 @@ func TestIncrementalCommitChaosMidQuerySwap(t *testing.T) {
 	const queriers = 4
 	answers := make([][]string, queriers)
 	var wg sync.WaitGroup
+	var committed atomic.Bool
+	defer committed.Store(true) // releases the queriers if a commit fails
 	start := make(chan struct{})
 	for w := 0; w < queriers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			for i := 0; i < 8; i++ {
+			// Query until every commit has landed, then eight times more:
+			// the early prefixes lack the query's terms, and their
+			// term-not-found errors return at once, so a fixed number of
+			// queries could all finish before the first swap.
+			for after := 0; after < 8; {
+				if committed.Load() {
+					after++
+				}
 				sys, _ := live.Snapshot()
 				as, err := sys.Answer(query, 3)
 				if err != nil {
@@ -204,6 +214,7 @@ func TestIncrementalCommitChaosMidQuerySwap(t *testing.T) {
 			t.Fatalf("Commit %d = %d, %v", k, ep, err)
 		}
 	}
+	committed.Store(true)
 	wg.Wait()
 
 	completed := 0
