@@ -342,6 +342,86 @@ func TestChaosDisabledIsIdentical(t *testing.T) {
 	}
 }
 
+// TestChaosReplayBatchVsEncoded crosses kernel configurations with fault
+// injection: the fault-free baseline is computed with the batch kernels in
+// their plainest configuration — single-shard (Shards 1), no shared-subplan
+// memo, no query caches — then every workload is replayed under a 10%
+// injector with the default sharded, memoized, cached configuration. Every
+// statement the chaos run completes must render byte-identical to the plain
+// fault-free answer: shard parallelism and memoization change neither
+// results nor the partial-answer degradation contract, even when faults land
+// mid-way through a block-at-a-time operator. The name is historical: the
+// baseline used to be the integer-at-a-time ("encoded") path, which is gone.
+func TestChaosReplayBatchVsEncoded(t *testing.T) {
+	const k = 3
+	for name, queries := range kwagg.DatasetWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			// Plain-configuration fault-free baseline.
+			plain, err := kwagg.OpenDatasetOpts(name, true, &kwagg.Options{
+				Shards: 1, MemoCells: -1, CacheSize: -1, VerifyPlans: true})
+			if err != nil {
+				t.Fatalf("OpenDatasetOpts(%q): %v", name, err)
+			}
+			base := make(map[string]string)
+			for _, q := range queries {
+				set, err := plain.AnswerSetContext(context.Background(), q, k)
+				if err != nil {
+					t.Fatalf("%s: plain fault-free Answer(%q): %v", name, q, err)
+				}
+				if set.Partial {
+					t.Fatalf("%s: plain fault-free Answer(%q) reported partial", name, q)
+				}
+				for _, a := range set.Answers {
+					base[a.SQL] = renderResult(a.Result)
+				}
+			}
+
+			// Default configuration under chaos.
+			inj := chaos.New(chaos.Config{
+				Rate:    0.1,
+				Seed:    13,
+				Cancel:  0.25,
+				Latency: 100 * time.Microsecond,
+			})
+			eng, err := kwagg.OpenDatasetOpts(name, true, &kwagg.Options{
+				Chaos: inj, VerifyPlans: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed := 0
+			for round := 0; round < 3; round++ {
+				for _, q := range queries {
+					set, err := eng.AnswerSetContext(context.Background(), q, k)
+					if err != nil {
+						continue // loud, total degradation — acceptable
+					}
+					for _, a := range set.Answers {
+						want, ok := base[a.SQL]
+						if !ok {
+							t.Fatalf("%q under chaos produced a statement the "+
+								"plain run never ran:\n%s", q, a.SQL)
+						}
+						if got := renderResult(a.Result); got != want {
+							t.Fatalf("%q: default configuration under chaos diverged from the plain baseline\nSQL: %s\ngot:  %s\nwant: %s",
+								q, a.SQL, got, want)
+						}
+						completed++
+					}
+					// The degradation contract is configuration-independent: a
+					// partial set still carries complete failure detail.
+					if set.Partial && len(set.Failed) == 0 {
+						t.Fatalf("%q: partial set with no failure detail", q)
+					}
+				}
+			}
+			if completed == 0 {
+				t.Fatal("chaos run completed no statements; the property was vacuous")
+			}
+			t.Logf("%s: %d statements completed identical to the plain baseline", name, completed)
+		})
+	}
+}
+
 // TestChaosConcurrentReplay hammers one chaos engine from many goroutines
 // (exercising the singleflight collapse, cache injection and the worker pool
 // under -race) and checks every completed answer against the baseline.
