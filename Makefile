@@ -69,12 +69,14 @@ test-incremental:
 
 # Short fuzzing pass over every fuzz target (~6 minutes total); the nightly
 # workflow runs this, and `go test ./...` always replays the committed seed
-# corpora in testdata/fuzz/.
+# corpora in testdata/fuzz/. FuzzRender skips without a sqlite3 binary, so
+# the target checks for it first and fails instead of passing silently.
 fuzz-smoke:
 	go test -fuzz=FuzzParse -fuzztime=75s ./internal/keyword/
 	go test -fuzz=FuzzParse -fuzztime=75s ./internal/sqldb/
 	go test -fuzz=FuzzPretty -fuzztime=75s ./internal/sqldb/
 	go test -fuzz=FuzzExec -fuzztime=75s ./internal/sqldb/
+	sqlite3 -version
 	go test -fuzz=FuzzRender -fuzztime=75s ./internal/backend/
 
 bench:

@@ -3,6 +3,7 @@ package backend_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 )
 
 // cornerDB builds a tiny database with the values that historically break
-// naive escaping and NULL handling.
+// naive escaping, NULL handling and equality: NULL beside the string
+// "NULL", 0 beside -0, and two integers a float64 cannot tell apart.
 func cornerDB() *relation.Database {
 	db := relation.NewDatabase("corner")
 	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Qty INT", "Price FLOAT").Key("Id"))
@@ -22,6 +24,11 @@ func cornerDB() *relation.Database {
 	item.MustInsert("i2", "NULL", int64(5), 2.5) // the string, not the value
 	item.MustInsert("i3", nil, int64(7), nil)
 	item.MustInsert("i4", "O'Brien\n\x1f", int64(0), 0.25)
+	item.MustInsert("i5", "widget", int64(0), 0.0)
+	item.MustInsert("i6", "widget", int64(0), math.Copysign(0, -1)) // negative zero
+	big := db.AddSchema(relation.NewSchema("T", "Id", "X INT").Key("Id"))
+	big.MustInsert("t1", int64(1<<53+1)) // first: an order-keeping float64 compare keeps it first
+	big.MustInsert("t2", int64(1<<53))
 	db.Freeze()
 	return db
 }

@@ -7,7 +7,8 @@
 // exporter and the executor against an independently implemented SQL
 // engine.
 //
-// Equality is after canonical sorting, with one concession: float cells may
+// Equality is after canonical sorting (or in order, for the corner
+// statements whose ORDER BY is total), with one concession: float cells may
 // differ by a relative epsilon, because SQLite is free to sum float columns
 // in a different order than the in-memory engine and float addition is not
 // associative. Integer and string cells must match exactly.
@@ -60,8 +61,9 @@ func asFloat(v relation.Value) (float64, bool) {
 	}
 }
 
-// diffOne executes q on both engines and compares the sorted answer sets.
-func diffOne(t *testing.T, db *relation.Database, ext backend.Backend, label string, q *sqlast.Query) {
+// diffOne executes q on both engines and compares the answer sets, sorted
+// unless ordered asks for the engines' own row order.
+func diffOne(t *testing.T, db *relation.Database, ext backend.Backend, label string, q *sqlast.Query, ordered bool) {
 	t.Helper()
 	ctx := context.Background()
 
@@ -77,8 +79,10 @@ func diffOne(t *testing.T, db *relation.Database, ext backend.Backend, label str
 	if err != nil {
 		t.Fatalf("%s: %s collect: %v\nSQL: %s", label, ext.Name(), err, q)
 	}
-	want.SortRows()
-	got.SortRows()
+	if !ordered {
+		want.SortRows()
+		got.SortRows()
+	}
 
 	if len(got.Columns) != len(want.Columns) {
 		t.Errorf("%s: column count %d vs %d\nSQL: %s", label, len(got.Columns), len(want.Columns), q)
@@ -152,7 +156,7 @@ func TestDifferentialSQLiteDatasetWorkloads(t *testing.T) {
 					t.Fatalf("%s: %v", kw, err)
 				}
 				for _, in := range ins {
-					diffOne(t, s.Ours.Data, ext, name+"/"+kw, in.SQL)
+					diffOne(t, s.Ours.Data, ext, name+"/"+kw, in.SQL, false)
 					interpretations++
 				}
 			}
@@ -164,8 +168,9 @@ func TestDifferentialSQLiteDatasetWorkloads(t *testing.T) {
 	}
 }
 
-// TestDifferentialSQLiteCorners runs the hand-built NULL / "NULL" / float
-// corner rows through the external oracle too.
+// TestDifferentialSQLiteCorners runs the hand-built NULL / "NULL" / float /
+// large-integer corner rows through the external oracle too. Statements
+// with ORDER BY (total on these rows) are compared in order.
 func TestDifferentialSQLiteCorners(t *testing.T) {
 	if !sqlitecli.Available() {
 		t.Skip("sqlite3 binary not on PATH")
@@ -183,26 +188,30 @@ func TestDifferentialSQLiteCorners(t *testing.T) {
 		"SELECT I.Id FROM Item I WHERE I.Qty = 99",
 		"SELECT I.Id FROM Item I WHERE I.Price = 1.5",
 		"SELECT I.Id FROM Item I WHERE I.Price > 1",
+		"SELECT I.Id FROM Item I WHERE I.Price = 0", // 0 and -0 both match
+		"SELECT I.Price, COUNT(I.Id) AS n FROM Item I GROUP BY I.Price",
+		"SELECT DISTINCT I.Price FROM Item I",
 		"SELECT I.Qty, COUNT(I.Id) AS n FROM Item I GROUP BY I.Qty",
+		// NULL and the string "NULL" are two groups (4 names, not 3)
+		"SELECT I.Name, COUNT(I.Id) AS n FROM Item I GROUP BY I.Name",
 		"SELECT COUNT(I.Name) AS c, SUM(I.Qty) AS s, AVG(I.Price) AS a FROM Item I",
 		"SELECT COUNT(I.Id) AS c FROM Item I WHERE I.Qty = 99", // empty input, no GROUP BY
 		"SELECT DISTINCT I.Qty FROM Item I",
 		"SELECT I.Id FROM Item I WHERE I.Name CONTAINS 'brien'",
 		"SELECT I.Id FROM Item I WHERE I.Name CONTAINS 'null'", // matches the string row only
+		// 2^53 and 2^53+1 are distinct integers, in order and in filters
+		"SELECT T.Id, T.X FROM T ORDER BY T.X",
+		"SELECT T.Id FROM T WHERE T.X > 9007199254740992",
 	} {
-		diffOne(t, db, ext, sql, parse(t, sql))
+		q := parse(t, sql)
+		diffOne(t, db, ext, sql, q, len(q.OrderBy) > 0)
 	}
 }
 
-// TestKnownDivergenceNULLStringGroupBy pins the one semantic gap between the
-// engines the oracle is allowed to see: the in-memory engine's GROUP BY (and
-// DISTINCT) equality is the Format rendering — a documented contract of the
-// dictionary encoding (relation.Dict), where SQL NULL and the literal string
-// "NULL" share an ID — while SQLite keeps NULL as its own group. A grouping
-// column holding both values therefore yields one fewer group in-memory.
-// The bundled datasets never store the literal string "NULL", so the
-// differential workload suite is unaffected; this test exists so the gap is
-// an asserted fact instead of a latent surprise (see docs/BACKENDS.md).
+// TestKnownDivergenceNULLStringGroupBy checks that GROUP BY keeps SQL NULL
+// and the string "NULL" apart on both engines. (The name is historical: the
+// in-memory engine used to merge them, and this test pinned that gap; the
+// dictionary now reserves an ID for NULL, so the engines agree.)
 func TestKnownDivergenceNULLStringGroupBy(t *testing.T) {
 	if !sqlitecli.Available() {
 		t.Skip("sqlite3 binary not on PATH")
@@ -213,7 +222,8 @@ func TestKnownDivergenceNULLStringGroupBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ext.Close()
-	q := parse(t, "SELECT I.Name, COUNT(I.Id) AS n FROM Item I GROUP BY I.Name")
+	const sql = "SELECT I.Name, COUNT(I.Id) AS n FROM Item I GROUP BY I.Name"
+	q := parse(t, sql)
 
 	want, _, err := sqldb.ExecOpts(context.Background(), db, q, sqldb.ExecConfig{})
 	if err != nil {
@@ -227,12 +237,12 @@ func TestKnownDivergenceNULLStringGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 distinct names by SQL semantics (NULL, 'NULL', O'Brien…, widget);
-	// 3 by Format semantics (NULL and 'NULL' merge).
-	if len(want.Rows) != 3 {
-		t.Errorf("sqldb grouped into %d rows, want 3 (Format-equality contract changed?)", len(want.Rows))
+	// 4 distinct names: NULL, 'NULL', O'Brien…, widget.
+	if len(want.Rows) != 4 {
+		t.Errorf("sqldb grouped into %d rows, want 4", len(want.Rows))
 	}
 	if len(got.Rows) != 4 {
 		t.Errorf("sqlite grouped into %d rows, want 4", len(got.Rows))
 	}
+	diffOne(t, db, ext, sql, q, false)
 }

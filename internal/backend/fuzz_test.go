@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -29,11 +30,9 @@ import (
 
 // fuzzRenderDB is the fixed schema the fuzz queries run over: two joinable
 // tables with string, int and float columns, planted NULLs and quote/
-// control-byte payloads. The stored strings deliberately exclude the literal
-// "NULL": a grouping column holding both NULL and "NULL" hits the documented
-// Format-equality divergence (TestKnownDivergenceNULLStringGroupBy), which is
-// pinned separately and must not be rediscovered by every fuzz run. The
-// string 'NULL' still appears as a predicate constant, where it is safe.
+// control-byte payloads, the string "NULL" beside real NULLs in Sname, and
+// -0 beside 0 in Gpa — the values on which value identity, and with it
+// grouping, DISTINCT and equality, must agree with SQLite.
 func fuzzRenderDB() *relation.Database {
 	db := relation.NewDatabase("fuzzrender")
 	s := db.AddSchema(relation.NewSchema("Student", "Sid", "Sname", "Age INT", "Gpa FLOAT").Key("Sid"))
@@ -48,12 +47,17 @@ func fuzzRenderDB() *relation.Database {
 			name = "O'Brien"
 		case 3:
 			name = "a\x1fb"
+		case 4:
+			name = "NULL"
 		}
 		var age relation.Value = int64(18 + i%9)
 		if i%31 == 0 {
 			age = nil
 		}
 		var gpa relation.Value = float64(i%40) / 8
+		if i%80 == 40 {
+			gpa = math.Copysign(0, -1)
+		}
 		if i%37 == 0 {
 			gpa = nil
 		}

@@ -228,7 +228,9 @@ func (m *Matcher) valueTags(term string) []Tag {
 
 // CountObjects counts the distinct objects of the (view) relation vs whose
 // attribute attr contains term, reading tuples from the relation's data
-// source. This implements the |T| > 1 test of Algorithm 3 line 18.
+// source; objects are told apart by their canonical primary-key values
+// (relation.AppendKey). This implements the |T| > 1 test of Algorithm 3
+// line 18.
 func (m *Matcher) CountObjects(vs *relation.Schema, attr, term string) int {
 	dataTable := m.data.Table(m.SourceOf(vs.Name))
 	if dataTable == nil {
@@ -247,16 +249,17 @@ func (m *Matcher) CountObjects(vs *relation.Schema, attr, term string) int {
 		keyIdx = append(keyIdx, ki)
 	}
 	seen := make(map[string]bool)
+	var key []byte
 	for _, tu := range dataTable.Tuples {
 		s, ok := tu[ai].(string)
 		if !ok || !relation.ContainsFold(s, term) {
 			continue
 		}
-		parts := make([]string, len(keyIdx))
-		for i, ki := range keyIdx {
-			parts[i] = relation.Format(tu[ki])
+		key = key[:0]
+		for _, ki := range keyIdx {
+			key = relation.AppendKey(key, tu[ki])
 		}
-		seen[strings.Join(parts, "\x1f")] = true
+		seen[string(key)] = true
 	}
 	return len(seen)
 }

@@ -142,6 +142,23 @@ func TestCountObjectsSubstring(t *testing.T) {
 	}
 }
 
+// TestCountObjectsCompositeKeySeparator: composite keys whose values
+// contain a would-be separator stay distinct objects.
+func TestCountObjectsCompositeKeySeparator(t *testing.T) {
+	db := relation.NewDatabase("sep")
+	r := db.AddSchema(relation.NewSchema("R", "A", "B", "Note").Key("A", "B"))
+	r.MustInsert("a\x1fb", "c", "green")
+	r.MustInsert("a", "b\x1fc", "green")
+	g, err := orm.Build(db.Schemas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(db, db.Schemas(), g, nil)
+	if n := m.CountObjects(r.Schema, "Note", "green"); n != 2 {
+		t.Errorf("keys (\"a\\x1fb\",\"c\") and (\"a\",\"b\\x1fc\") counted as %d objects, want 2", n)
+	}
+}
+
 // TestMatchUnnormalizedView: matching against the Figure 8 database resolves
 // terms to the normalized view's relations while counting objects in the
 // stored Enrolment relation.

@@ -11,26 +11,20 @@ package relation
 // 1024 IDs (4 KiB) fit comfortably in L1 alongside a selection vector, and it
 // equals rowCheckInterval in the executor so per-block cancellation polls
 // keep the same responsiveness as the per-row amortized checks. A multiple of
-// 64 so block boundaries are word-aligned in the null and selection bitsets.
+// 64 so block boundaries are word-aligned in the selection bitsets.
 const BlockSize = 1024
 
 // Blocks returns how many BlockSize blocks cover n rows (the last one may be
 // partial).
 func Blocks(n int) int { return (n + BlockSize - 1) / BlockSize }
 
-// ColData is one attribute's dictionary IDs stored contiguously, with an
-// optional null bitset. IDs[i] is the ID of row i's value — the same ID the
-// row-major encoding stores, so either layout can verify the other.
+// ColData is one attribute's dictionary IDs stored contiguously. IDs[i] is
+// the ID of row i's value — the same ID the row-major encoding stores, so
+// either layout can verify the other. A NULL row holds NullID, so the IDs
+// alone decide value identity; no side structure marks NULLs.
 type ColData struct {
 	// IDs holds the column's dictionary IDs, one per row, contiguous.
 	IDs []uint32
-	// Nulls marks the rows whose boxed value is SQL NULL, bit i at
-	// Nulls[i/64]>>(i%64). It is nil when the column has no NULLs at all —
-	// the common case, letting kernels skip null masking entirely. The
-	// bitset exists because NULL shares its dictionary ID with the literal
-	// string "NULL" (Format equality), so the IDs alone cannot separate
-	// them.
-	Nulls []uint64
 }
 
 // Len returns the number of rows.
@@ -45,22 +39,4 @@ func (c *ColData) Block(b int) []uint32 {
 		hi = len(c.IDs)
 	}
 	return c.IDs[lo:hi]
-}
-
-// Null reports whether row i's value is SQL NULL.
-func (c *ColData) Null(i int) bool {
-	if c.Nulls == nil {
-		return false
-	}
-	return c.Nulls[i>>6]>>(uint(i)&63)&1 != 0
-}
-
-// NullWord returns the w'th 64-row word of the null bitset (zero when the
-// column has no NULLs). Block boundaries are word-aligned, so a kernel
-// clearing null rows from a block's selection bitset works word-by-word.
-func (c *ColData) NullWord(w int) uint64 {
-	if c.Nulls == nil {
-		return 0
-	}
-	return c.Nulls[w]
 }

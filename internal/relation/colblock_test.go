@@ -7,8 +7,8 @@ import (
 
 // colTestTable builds and freezes a table with n rows whose three columns mix
 // strings, ints and NULLs: A is "a<i%7>" (no NULLs), B is int64(i%5) with
-// every 13th row NULL, C alternates the literal string "NULL" and a real nil
-// so the null bitset is the only thing separating them.
+// every 13th row NULL, C alternates the literal string "NULL" and a real nil,
+// which must get different IDs.
 func colTestTable(n int) *Table {
 	t := NewTable(NewSchema("T", "A", "B INT", "C").Key("A"))
 	for i := 0; i < n; i++ {
@@ -52,57 +52,34 @@ func TestColDataMatchesRowMajorEncoding(t *testing.T) {
 	}
 }
 
+// TestColDataNullBitset checks how a column marks its NULL rows. (The name
+// is historical: ColData used to carry a null bitset; NULL rows now hold
+// the reserved NullID, and the dictionary's HasNull bit says whether any do.)
 func TestColDataNullBitset(t *testing.T) {
 	tab := colTestTable(2*BlockSize + 517)
+	dicts, _, _ := tab.Encoding()
 	for j := range tab.Schema.Attributes {
 		col := tab.Col(j)
 		sawNull := false
 		for i, tu := range tab.Tuples {
-			want := Null(tu[j])
-			if got := col.Null(i); got != want {
-				t.Fatalf("col %d row %d: Null=%v, boxed value %v", j, i, got, tu[j])
-			}
-			if want {
+			if isNull := Null(tu[j]); isNull != (col.IDs[i] == NullID) {
+				t.Fatalf("col %d row %d: ID %d for boxed value %#v", j, i, col.IDs[i], tu[j])
+			} else if isNull {
 				sawNull = true
 			}
 		}
-		if !sawNull && col.Nulls != nil {
-			t.Errorf("col %d: Nulls bitset allocated for a NULL-free column", j)
-		}
-		if sawNull && col.Nulls == nil {
-			t.Errorf("col %d: NULL rows present but Nulls bitset nil", j)
-		}
-		// NullWord must agree with Null word-by-word, including the zero it
-		// reports for NULL-free columns.
-		for w := 0; w < (tab.Len()+63)/64; w++ {
-			var want uint64
-			for b := 0; b < 64; b++ {
-				i := w*64 + b
-				if i < tab.Len() && col.Null(i) {
-					want |= 1 << uint(b)
-				}
-			}
-			if got := col.NullWord(w); got != want {
-				t.Fatalf("col %d word %d: NullWord %#x, want %#x", j, w, got, want)
-			}
+		if got := dicts[j].HasNull(); got != sawNull {
+			t.Errorf("col %d: HasNull = %v, NULL rows present = %v", j, got, sawNull)
 		}
 	}
 	// Column A never holds NULL, column B and C do (rows 0 and 1 resp.).
-	if tab.Col(0).Nulls != nil {
-		t.Error("column A should have a nil Nulls bitset")
+	if dicts[0].HasNull() || !dicts[1].HasNull() || !dicts[2].HasNull() {
+		t.Error("want HasNull false for A and true for B and C")
 	}
-	if !tab.Col(1).Null(0) || !tab.Col(2).Null(1) {
-		t.Error("expected NULLs at B row 0 and C row 1")
-	}
-	// The literal string "NULL" shares C's dictionary ID with real NULLs —
-	// the bitset must be what tells them apart.
+	// The literal string "NULL" is an ordinary value, not NULL.
 	c := tab.Col(2)
-	if c.IDs[0] != c.IDs[1] {
-		t.Errorf(`"NULL" (row 0) and nil (row 1) should share a dictionary ID, got %d vs %d`,
-			c.IDs[0], c.IDs[1])
-	}
-	if c.Null(0) || !c.Null(1) {
-		t.Error(`null bitset must separate the string "NULL" (row 0) from nil (row 1)`)
+	if c.IDs[0] == c.IDs[1] {
+		t.Errorf(`"NULL" (row 0) and nil (row 1) share dictionary ID %d`, c.IDs[0])
 	}
 }
 

@@ -5,11 +5,11 @@
 //
 // The construction leans on three invariants the frozen layout already has:
 //
-//   - Dictionary-ID prefix stability: a full freeze interns values in row
-//     order, so the base's dictionary is exactly the prefix of the full
-//     data's dictionary. Dict.Extend layers a private tail over the
-//     immutable base, and encoding only the new rows assigns the very same
-//     IDs a full re-freeze would.
+//   - Dictionary-ID prefix stability: a full freeze reserves NullID and
+//     then interns values in row order, so the base's dictionary is exactly
+//     the prefix of the full data's dictionary. Dict.Extend layers a private
+//     tail over the immutable base, and encoding only the new rows assigns
+//     the very same IDs a full re-freeze would.
 //   - Append-only row order: new rows get row ids beyond the base's, so
 //     every value-index posting list and every column stays sorted/aligned
 //     by appending — full 1024-row ColData blocks from the previous epoch
@@ -19,13 +19,11 @@
 //     their own slice lengths, so spare capacity beyond them is writable by
 //     exactly one successor. A one-shot claim (Table.tailClaimed) grants
 //     that ownership to the first delta built from a base; a second delta
-//     from the same base (a branch) falls back to copy-on-write, and shared
-//     NULL-bitset tail words are always copied (the whole bitset is
-//     re-materialized, O(rows/64)).
+//     from the same base (a branch) falls back to copy-on-write.
 //
 // The result is byte-identical — dictionaries, row-major encoding, column
-// blocks, null bitsets and postings — to NewTable+AppendShared+Freeze over
-// the same data; the differential suites pin this.
+// blocks and postings — to NewTable+AppendShared+Freeze over the same data;
+// the differential suites pin this.
 package relation
 
 import (
@@ -111,7 +109,6 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 		return base, stats, nil
 	}
 	stats.NewRows = len(add)
-	n1 := n0 + len(add)
 
 	// One-shot ownership of base's spare capacity: on success this delta may
 	// extend base's backing arrays in place past their lengths; otherwise
@@ -122,8 +119,9 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 	nt.Tuples = extendTuples(base.Tuples, add, claim)
 
 	// Dictionaries: encode only the new rows into private tails. A column
-	// whose tail stays empty keeps the base dictionary itself, preserving
-	// pointer identity (and its cached remap tables) across epochs.
+	// whose tail changed nothing keeps the base dictionary itself,
+	// preserving pointer identity (and its cached remap tables) across
+	// epochs.
 	tails := make([]*Dict, ncols)
 	for j := range tails {
 		tails[j] = base.dicts[j].Extend()
@@ -136,11 +134,11 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 	}
 	nt.dicts = make([]*Dict, ncols)
 	for j, d := range tails {
-		if d.tailLen() == 0 {
-			nt.dicts[j] = base.dicts[j]
-		} else {
+		if d.grew() {
 			nt.dicts[j] = d
-			stats.NewDictEntries += d.tailLen()
+			stats.NewDictEntries += len(d.vals)
+		} else {
+			nt.dicts[j] = base.dicts[j]
 		}
 	}
 
@@ -150,8 +148,7 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 	// Column blocks: full blocks from the base are reused by reference when
 	// the claim lets us extend in place; otherwise the column is copied once
 	// into a private array with headroom, so the *next* epoch extends in
-	// place again. NULL bitsets are always re-materialized whole — the tail
-	// word is shared with old-epoch readers — at O(rows/64).
+	// place again.
 	nt.cols = make([]ColData, ncols)
 	for j := 0; j < ncols; j++ {
 		colNew := make([]uint32, len(add))
@@ -165,7 +162,6 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 		} else {
 			stats.CopiedBlocks += Blocks(n0)
 		}
-		nt.cols[j].Nulls = extendNulls(base.cols[j].Nulls, add, j, n0, n1)
 	}
 
 	// Value indexes: the outer per-ID table is copied (slice headers only,
@@ -231,32 +227,5 @@ func extendTuples(old []Tuple, add []Tuple, claim bool) []Tuple {
 	out := make([]Tuple, n1, growCap(n1))
 	copy(out, old)
 	copy(out[n0:], add)
-	return out
-}
-
-// extendNulls re-materializes column j's null bitset for n1 rows: the base
-// words are copied (the tail word may be shared with old-epoch readers, so
-// no in-place growth) and the new rows' bits are set. Returns nil when
-// neither the base nor the new rows have any NULLs, preserving the
-// "no bitset at all" fast path.
-func extendNulls(old []uint64, add []Tuple, j, n0, n1 int) []uint64 {
-	anyNew := false
-	for _, tu := range add {
-		if Null(tu[j]) {
-			anyNew = true
-			break
-		}
-	}
-	if old == nil && !anyNew {
-		return nil
-	}
-	out := make([]uint64, (n1+63)/64)
-	copy(out, old)
-	for i, tu := range add {
-		if Null(tu[j]) {
-			r := n0 + i
-			out[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
 	return out
 }

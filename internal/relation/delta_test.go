@@ -8,8 +8,8 @@ import (
 )
 
 // deltaSchema covers every attribute type plus a NULL-capable float and a
-// string column that can store the literal "NULL" (Format-colliding with SQL
-// NULL, so the bitsets matter).
+// string column that can store the literal "NULL" (which must keep an ID of
+// its own, apart from NullID).
 func deltaSchema() *Schema {
 	return NewSchema("Item", "Iid INT", "Name", "Cat", "Price FLOAT").Key("Iid")
 }
@@ -49,8 +49,8 @@ func fullFreeze(t *testing.T, s *Schema, batches ...[]Tuple) *Table {
 }
 
 // requireTableEqual asserts the delta-built table is indistinguishable from
-// the full freeze: tuples, dictionaries (IDs and values), row-major
-// encoding, column blocks, null bitsets and value-index postings.
+// the full freeze: tuples, dictionaries (IDs, values and the HasNull bit),
+// row-major encoding, column blocks and value-index postings.
 func requireTableEqual(t *testing.T, got, want *Table) {
 	t.Helper()
 	if !got.Frozen() {
@@ -83,7 +83,10 @@ func requireTableEqual(t *testing.T, got, want *Table) {
 		if gd.AllStrings() != wd.AllStrings() {
 			t.Fatalf("dict %d AllStrings: got %v, want %v", j, gd.AllStrings(), wd.AllStrings())
 		}
-		for id := 0; id < wd.Len(); id++ {
+		if gd.HasNull() != wd.HasNull() {
+			t.Fatalf("dict %d HasNull: got %v, want %v", j, gd.HasNull(), wd.HasNull())
+		}
+		for id := int(NullID) + 1; id < wd.Len(); id++ {
 			if Format(gd.Value(uint32(id))) != Format(wd.Value(uint32(id))) {
 				t.Fatalf("dict %d id %d: got %v, want %v", j, id, gd.Value(uint32(id)), wd.Value(uint32(id)))
 			}
@@ -95,14 +98,6 @@ func requireTableEqual(t *testing.T, got, want *Table) {
 		gc, wc := got.Col(j), want.Col(j)
 		if !reflect.DeepEqual(gc.IDs, wc.IDs) {
 			t.Fatalf("col %d IDs differ", j)
-		}
-		if (gc.Nulls == nil) != (wc.Nulls == nil) {
-			t.Fatalf("col %d null bitset presence: got %v, want %v", j, gc.Nulls != nil, wc.Nulls != nil)
-		}
-		for i := 0; i < want.Len(); i++ {
-			if gc.Null(i) != wc.Null(i) {
-				t.Fatalf("col %d row %d null: got %v, want %v", j, i, gc.Null(i), wc.Null(i))
-			}
 		}
 		if len(got.post[j]) != len(want.post[j]) {
 			t.Fatalf("post %d: got %d lists, want %d", j, len(got.post[j]), len(want.post[j]))
@@ -150,9 +145,9 @@ func TestExtendFrozenMatchesFullFreeze(t *testing.T) {
 	}
 }
 
-// An all-NULL batch landing in a fresh tail block: the column had no bitset
-// before (or only old bits) and must grow word-aligned bits for rows the old
-// bitset never covered.
+// An all-NULL batch landing in a fresh tail block: it interns no new value,
+// but it is the column's first NULL, so the extended column needs a
+// dictionary whose HasNull bit is set while the base's stays clear.
 func TestExtendFrozenAllNullFreshTailBlock(t *testing.T) {
 	s := NewSchema("N", "Id INT", "Score FLOAT").Key("Id")
 	rows := make([]Tuple, BlockSize)
@@ -169,11 +164,11 @@ func TestExtendFrozenAllNullFreshTailBlock(t *testing.T) {
 		t.Fatalf("ExtendFrozen: %v", err)
 	}
 	requireTableEqual(t, got, fullFreeze(t, s, rows, add))
-	if got.Col(1).Nulls == nil {
-		t.Fatal("expected a null bitset on the extended column")
+	if !got.dicts[1].HasNull() {
+		t.Fatal("extended column's dictionary does not report its NULLs")
 	}
-	if base.Col(1).Nulls != nil {
-		t.Fatal("base column grew a null bitset")
+	if base.dicts[1].HasNull() {
+		t.Fatal("base column's dictionary gained HasNull")
 	}
 }
 
@@ -376,7 +371,7 @@ func TestDictExtendLayering(t *testing.T) {
 	if cur.Len() != n {
 		t.Fatalf("rows: got %d, want %d", cur.Len(), n)
 	}
-	for id := 0; id < cur.dicts[0].Len(); id++ {
+	for id := int(NullID) + 1; id < cur.dicts[0].Len(); id++ {
 		v := cur.dicts[0].Value(uint32(id))
 		if got, ok := cur.dicts[0].ID(v); !ok || got != uint32(id) {
 			t.Fatalf("layered dict round-trip failed for id %d (%v)", id, v)

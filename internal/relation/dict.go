@@ -11,6 +11,11 @@ import (
 // are dense from 0, so NoID can never collide with one.
 const NoID = ^uint32(0)
 
+// NullID is the dictionary ID every Dict reserves for SQL NULL. ID never
+// returns it and Remap maps it to NoID, so NULL rows group together (one ID)
+// but never match a constant or join.
+const NullID uint32 = 0
+
 // maxDictDepth bounds the delta-dictionary chain length (see Extend): a
 // lookup walks at most this many layers, and an Extend that would exceed it
 // flattens the chain back into a single layer first. Flattening costs
@@ -24,13 +29,14 @@ const maxDictDepth = 8
 // the partner itself) forever.
 const remapCacheMax = 128
 
-// Dict is a per-column value dictionary: every distinct stored value gets a
-// dense uint32 ID. Distinctness is by the value's Format rendering — the same
-// equality the executor's historical string-keyed hash paths used — so two
-// values share an ID exactly when their formatted forms are equal (notably,
-// SQL NULL shares an ID with the literal string "NULL", and int64(5) with
-// "5"; callers that must distinguish them re-check the boxed value, exactly
-// as the string-keyed paths did).
+// Dict is a per-column value dictionary and the engine's single definition
+// of "same value": every distinct stored value gets a dense uint32 ID, and
+// two values of a column share an ID exactly when both are NULL, or neither
+// is and Compare returns 0. ID NullID is reserved for NULL; every other
+// value is keyed by its Format rendering, which renders float -0 as 0 and
+// keeps the string "NULL" apart from NULL. Across types the key is the
+// rendering too (int64(5), 5.0 and "5" share an ID), matching Compare's
+// string fallback.
 //
 // A Dict is built while freezing a table and never mutated afterwards, so it
 // is safe for unsynchronized concurrent readers.
@@ -39,21 +45,25 @@ const remapCacheMax = 128
 // Dict layering a private tail (IDs from base.Len() up) over the immutable
 // base, so committing M new rows interns only their unseen values instead of
 // re-encoding the whole column. ID assignment is identical to a from-scratch
-// build of the full data — both intern in row order, and the base's IDs are a
-// prefix by construction — which is what keeps delta-built epochs
-// byte-identical to full freezes.
+// build of the full data — both intern in row order, NullID is reserved up
+// front, and the base's IDs are a prefix by construction — which is what
+// keeps delta-built epochs byte-identical to full freezes.
 type Dict struct {
-	base   *Dict             // previous layer, nil for a full build
-	start  uint32            // first ID owned by this layer (== base.Len())
-	depth  int               // layers below this one
-	ids    map[string]uint32 // Format(v) -> id, this layer's tail only
-	vals   []Value           // id start+i -> first value encoded with that id
-	allStr bool              // every encoded value (all layers) was a string
-	remaps sync.Map          // *Dict -> []uint32 translation tables (see RemapCached)
-	remapN atomic.Int32      // cached remap tables, capped at remapCacheMax
+	base    *Dict             // previous layer, nil for a full build
+	start   uint32            // first ID owned by this layer (== base.Len())
+	depth   int               // layers below this one
+	ids     map[string]uint32 // Format(v) -> id for non-NULL v, this layer's tail only
+	vals    []Value           // id start+i -> first value encoded with that id
+	allStr  bool              // every encoded value (all layers) was a string
+	hasNull bool              // some encoded value (any layer) was NULL
+	remaps  sync.Map          // *Dict -> []uint32 translation tables (see RemapCached)
+	remapN  atomic.Int32      // cached remap tables, capped at remapCacheMax
 }
 
-func newDict() *Dict { return &Dict{ids: make(map[string]uint32), allStr: true} }
+// newDict returns an empty full-build dictionary: only the NullID slot.
+func newDict() *Dict {
+	return &Dict{ids: make(map[string]uint32), vals: []Value{nil}, allStr: true}
+}
 
 // Extend returns a new dictionary sharing this one as its immutable base:
 // encode on the result interns unseen values into a private tail starting at
@@ -66,11 +76,12 @@ func (d *Dict) Extend() *Dict {
 		base = d.flatten()
 	}
 	return &Dict{
-		base:   base,
-		start:  uint32(base.Len()),
-		depth:  base.depth + 1,
-		ids:    make(map[string]uint32),
-		allStr: base.allStr,
+		base:    base,
+		start:   uint32(base.Len()),
+		depth:   base.depth + 1,
+		ids:     make(map[string]uint32),
+		allStr:  base.allStr,
+		hasNull: base.hasNull,
 	}
 }
 
@@ -79,7 +90,7 @@ func (d *Dict) Extend() *Dict {
 // without re-rendering any value.
 func (d *Dict) flatten() *Dict {
 	n := d.Len()
-	nd := &Dict{ids: make(map[string]uint32, n), vals: make([]Value, n), allStr: d.allStr}
+	nd := &Dict{ids: make(map[string]uint32, n), vals: make([]Value, n), allStr: d.allStr, hasNull: d.hasNull}
 	for e := d; e != nil; e = e.base {
 		copy(nd.vals[e.start:int(e.start)+len(e.vals)], e.vals)
 		for k, id := range e.ids {
@@ -89,17 +100,22 @@ func (d *Dict) flatten() *Dict {
 	return nd
 }
 
-// tailLen returns the number of values interned into this layer alone; a
-// delta layer with an empty tail encoded nothing new, so callers may keep
-// using the base dictionary (preserving pointer identity and its remap
-// caches across epochs).
-func (d *Dict) tailLen() int { return len(d.vals) }
+// grew reports whether this delta layer changed anything over its base: it
+// interned a new value or the column's first NULL. A layer that did not may
+// be dropped for its base (preserving pointer identity and its remap caches
+// across epochs).
+func (d *Dict) grew() bool { return len(d.vals) > 0 || d.hasNull != d.base.hasNull }
 
-// encode interns v and returns its ID, assigning the next dense ID to a
-// formatted form not seen before (in this layer or any base layer).
+// encode interns v and returns its ID: NullID for NULL, otherwise the ID of
+// v's Format rendering, assigning the next dense ID to a rendering not seen
+// before (in this layer or any base layer).
 func (d *Dict) encode(v Value) uint32 {
 	if _, ok := v.(string); !ok {
 		d.allStr = false
+	}
+	if v == nil {
+		d.hasNull = true
+		return NullID
 	}
 	key := Format(v)
 	for e := d; e != nil; e = e.base {
@@ -114,17 +130,16 @@ func (d *Dict) encode(v Value) uint32 {
 }
 
 // ID returns the dictionary ID of v, matching by Format rendering; ok is
-// false when no stored value formats equally. The common constant types
-// (string, int64) avoid allocating the rendering.
+// false when no stored value renders equally, and always for NULL, which
+// equals nothing. The common constant types (string, int64) avoid
+// allocating the rendering.
 func (d *Dict) ID(v Value) (uint32, bool) {
+	var key string
 	switch x := v.(type) {
+	case nil:
+		return NoID, false
 	case string:
-		for e := d; e != nil; e = e.base {
-			if id, ok := e.ids[x]; ok {
-				return id, true
-			}
-		}
-		return 0, false
+		key = x
 	case int64:
 		var buf [20]byte
 		b := strconv.AppendInt(buf[:0], x, 10)
@@ -133,23 +148,25 @@ func (d *Dict) ID(v Value) (uint32, bool) {
 				return id, true
 			}
 		}
-		return 0, false
+		return NoID, false
+	default:
+		key = Format(v)
 	}
-	key := Format(v)
 	for e := d; e != nil; e = e.base {
 		if id, ok := e.ids[key]; ok {
 			return id, true
 		}
 	}
-	return 0, false
+	return NoID, false
 }
 
-// Len returns the number of distinct (by Format) values in the dictionary,
-// across all layers.
+// Len returns the size of the dictionary's ID space across all layers:
+// the NullID slot plus one ID per distinct non-NULL value.
 func (d *Dict) Len() int { return int(d.start) + len(d.vals) }
 
 // Value decodes an ID back to a stored value: the first value that was
-// encoded with that ID. IDs come from the same dictionary's encode/ID.
+// encoded with that ID, or nil for NullID. IDs come from the same
+// dictionary's encode/ID.
 func (d *Dict) Value(id uint32) Value {
 	e := d
 	for e.base != nil && id < e.start {
@@ -157,6 +174,10 @@ func (d *Dict) Value(id uint32) Value {
 	}
 	return e.vals[id-e.start]
 }
+
+// HasNull reports whether any encoded value was NULL, i.e. whether NullID
+// occurs in the column. Without it, COUNT over the column is the row count.
+func (d *Dict) HasNull() bool { return d.hasNull }
 
 // AllStrings reports whether every encoded value was a string. Kernels that
 // evaluate a predicate once per dictionary entry instead of once per row
@@ -167,7 +188,8 @@ func (d *Dict) AllStrings() bool { return d.allStr }
 
 // Remap builds a translation table from this dictionary's ID space into
 // to's: out[id] is the ID in to of the value this dictionary stores under
-// id, or NoID when to has no value with that formatted form. Hash joins use
+// id, or NoID when to has no value with that formatted form — and always
+// for NullID, so NULL never joins. Hash joins use
 // it to probe a build table keyed in another column's ID space with O(1) per
 // row after O(distinct) setup.
 func (d *Dict) Remap(to *Dict) []uint32 {

@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDictEncodeSharesIDByFormat(t *testing.T) {
 	d := newDict()
@@ -9,13 +12,17 @@ func TestDictEncodeSharesIDByFormat(t *testing.T) {
 	if a != b {
 		t.Fatalf("int64(5) and \"5\" format equally but got ids %d and %d", a, b)
 	}
+	z := d.encode(0.0)
+	if nz := d.encode(math.Copysign(0, -1)); nz != z {
+		t.Fatalf("0 and -0 got ids %d and %d", z, nz)
+	}
 	n := d.encode(nil)
 	s := d.encode("NULL")
-	if n != s {
-		t.Fatalf("nil and \"NULL\" format equally but got ids %d and %d", n, s)
+	if n != NullID || s == NullID {
+		t.Fatalf("nil got id %d and \"NULL\" id %d; want NullID (%d) only for nil", n, s, NullID)
 	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", d.Len())
+	if d.Len() != 4 {
+		t.Fatalf("Len = %d, want 4 (NullID, 5, 0, \"NULL\")", d.Len())
 	}
 	// Decoding returns the first value encoded with the ID.
 	if v := d.Value(a); v != int64(5) {
@@ -23,6 +30,58 @@ func TestDictEncodeSharesIDByFormat(t *testing.T) {
 	}
 	if v := d.Value(n); v != nil {
 		t.Fatalf("Value(%d) = %#v, want nil", n, v)
+	}
+}
+
+// TestDictIdentityIsCompare pins the dictionary as the single definition of
+// "same value": within one column, two values share an ID exactly when both
+// are NULL, or neither is and Compare returns 0. NULL never matches through
+// ID or Remap, and incremental growth assigns a from-scratch build's IDs.
+func TestDictIdentityIsCompare(t *testing.T) {
+	columns := []struct {
+		decl string
+		vals []Value
+	}{
+		{"V INT", []Value{int64(1 << 53), int64(1<<53 + 1), int64(0), int64(-1), int64(math.MaxInt64), int64(math.MinInt64), int64(1<<53 - 1)}},
+		{"V FLOAT", []Value{0.0, math.Copysign(0, -1), 1.5, -1.5, 0.1 + 0.2, 0.3, 1e21, 1e-300, math.MaxFloat64, 9007199254740993.0}},
+		{"V", []Value{"NULL", "null", "", "a", "a\x1fb", "0", "-0"}},
+	}
+	for _, c := range columns {
+		// Each value twice, then NULLs: the base half below holds no NULL,
+		// so the extension interns the column's first one.
+		var rows []Tuple
+		for k := 0; k < 2; k++ {
+			for i, v := range c.vals {
+				rows = append(rows, Tuple{int64(k*len(c.vals) + i), v})
+			}
+		}
+		rows = append(rows, Tuple{int64(len(rows)), nil}, Tuple{int64(len(rows) + 1), nil})
+		s := NewSchema("T", "Id INT", c.decl).Key("Id")
+		full := fullFreeze(t, s, rows)
+		d, col := full.dicts[1], full.Col(1).IDs
+		for i, ri := range rows {
+			for k, rk := range rows {
+				a, b := ri[1], rk[1]
+				want := (a == nil && b == nil) || (a != nil && b != nil && Compare(a, b) == 0)
+				if got := col[i] == col[k]; got != want {
+					t.Errorf("%s: %#v and %#v share an ID = %v, want %v", c.decl, a, b, got, want)
+				}
+			}
+		}
+		if id, ok := d.ID(nil); ok {
+			t.Errorf("%s: ID(nil) = %d, want a miss", c.decl, id)
+		}
+		for _, to := range []*Dict{d, full.dicts[0]} {
+			if m := d.Remap(to); m[NullID] != NoID {
+				t.Errorf("%s: Remap sends NullID to %d, want NoID", c.decl, m[NullID])
+			}
+		}
+		base := fullFreeze(t, s, rows[:len(c.vals)+1])
+		grown, _, err := ExtendFrozen(base, rows[len(c.vals)+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTableEqual(t, grown, full)
 	}
 }
 
@@ -71,8 +130,12 @@ func TestDictRemap(t *testing.T) {
 	to := newDict()
 	to.encode("b")
 	to.encode("a")
+	to.encode(nil)
 
 	m := from.Remap(to)
+	if m[NullID] != NoID {
+		t.Fatalf("remap(NullID) = %d, want NoID", m[NullID])
+	}
 	if got, _ := to.ID("a"); m[a] != got {
 		t.Fatalf("remap(a) = %d, want %d", m[a], got)
 	}

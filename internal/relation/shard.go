@@ -1,16 +1,13 @@
 package relation
 
-import "sort"
-
 // Shard layout over the frozen columnar encoding. A shard is a contiguous
 // range of whole ColData blocks — nothing is re-stored per shard: the shared
-// per-column dictionaries, the column-major ID arrays and the null bitsets
-// are simply viewed in block-aligned row ranges, so shard-parallel kernels
-// read the same immutable arrays the single-shard path does and per-shard
-// value-index lookups are binary-searched windows of the global postings.
-// Block alignment matters: selection and null bitsets pack 64 rows per word
-// and kernels sweep BlockSize rows per inner loop, so workers writing
-// disjoint shards never share a bitset word or split a block.
+// per-column dictionaries and the column-major ID arrays are simply viewed
+// in block-aligned row ranges, so shard-parallel kernels read the same
+// immutable arrays the single-shard path does. Block alignment matters:
+// selection bitsets pack 64 rows per word and kernels sweep BlockSize rows
+// per inner loop, so workers writing disjoint shards never share a bitset
+// word or split a block.
 
 // ShardBlocks is the number of BlockSize blocks per shard: 16 blocks
 // (16384 rows) keeps one shard's column comfortably in L2 while leaving
@@ -19,39 +16,3 @@ const ShardBlocks = 16
 
 // ShardRows is the default number of rows per shard.
 const ShardRows = ShardBlocks * BlockSize
-
-// Shards returns how many shards of `per` rows cover n rows (the last one
-// may be partial). per must be positive.
-func Shards(n, per int) int { return (n + per - 1) / per }
-
-// ShardCount returns the number of default-size shards of the table.
-func (t *Table) ShardCount() int { return Shards(len(t.Tuples), ShardRows) }
-
-// ShardRange returns the row range [lo, hi) of default-size shard s,
-// clamped to the table's length.
-func (t *Table) ShardRange(s int) (lo, hi int) {
-	lo = s * ShardRows
-	hi = lo + ShardRows
-	if n := len(t.Tuples); hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// LookupRange returns the ascending row ids in [lo, hi) whose attribute
-// formats equally to v — the per-shard view of the frozen value index. The
-// global postings of an ID are already ascending, so a shard's slice is
-// found by two binary searches; the result aliases the shared postings
-// array and must be treated as read-only. Only valid on frozen tables.
-func (t *Table) LookupRange(attr string, v Value, lo, hi int) []int {
-	rows := t.Lookup(attr, v)
-	if len(rows) == 0 {
-		return nil
-	}
-	i := sort.SearchInts(rows, lo)
-	j := sort.SearchInts(rows, hi)
-	return rows[i:j]
-}

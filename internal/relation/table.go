@@ -20,7 +20,7 @@ type Table struct {
 
 	mu      sync.Mutex                  // guards hashIdx builds on unfrozen tables
 	frozen  bool                        // set by Freeze; rejects further inserts
-	hashIdx map[string]map[string][]int // attr (lower) -> formatted value -> row ids
+	hashIdx map[string]map[string][]int // attr (lower) -> AppendKey(value) -> row ids
 
 	// Dictionary encoding, built by Freeze and immutable afterwards: one
 	// dictionary per attribute, the flat row-major array of encoded tuples
@@ -130,16 +130,6 @@ func (t *Table) Freeze() {
 			}
 			t.cols[j].IDs = col
 		}
-		for i, tu := range t.Tuples {
-			for j, v := range tu {
-				if Null(v) {
-					if t.cols[j].Nulls == nil {
-						t.cols[j].Nulls = make([]uint64, (len(t.Tuples)+63)/64)
-					}
-					t.cols[j].Nulls[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		}
 	}
 	t.post = make([][][]int, ncols)
 	for j := range t.post {
@@ -165,9 +155,8 @@ func (t *Table) Encoding() (dicts []*Dict, ids []uint32, ok bool) {
 }
 
 // Col exposes attribute j's column-major encoding: its dictionary IDs stored
-// contiguously plus the null bitset (see ColData). nil until the table has
-// been frozen or when j is out of range; the returned data is immutable
-// shared state — read only.
+// contiguously (see ColData). nil until the table has been frozen or when j
+// is out of range; the returned data is immutable shared state — read only.
 func (t *Table) Col(j int) *ColData {
 	if !t.frozen || j < 0 || j >= len(t.cols) {
 		return nil
@@ -191,8 +180,10 @@ func (t *Table) buildIdxLocked(key string) map[string][]int {
 		return nil
 	}
 	idx := make(map[string][]int)
+	var buf []byte
 	for i, tu := range t.Tuples {
-		idx[Format(tu[j])] = append(idx[Format(tu[j])], i)
+		buf = AppendKey(buf[:0], tu[j])
+		idx[string(buf)] = append(idx[string(buf)], i)
 	}
 	t.hashIdx[key] = idx
 	return idx
@@ -236,12 +227,17 @@ func (t *Table) Value(i int, attr string) Value {
 	return t.Tuples[i][j]
 }
 
-// Lookup returns the row ids (ascending) whose attribute formats equally to
-// v. On frozen tables the lookup goes through the attribute's dictionary
+// Lookup returns the row ids (ascending) whose attribute shares v's
+// dictionary ID (see Dict); NULL equals nothing, so Lookup(attr, nil) is
+// empty. On frozen tables the lookup goes through the attribute's dictionary
 // (value to ID, then the ID's postings) without locking or string building
-// for the common constant types; on mutable tables a formatted-string index
-// is built lazily under the table's mutex, so concurrent lookups stay safe.
+// for the common constant types; on mutable tables an index over the same
+// canonical keys (AppendKey) is built lazily under the table's mutex, so
+// concurrent lookups stay safe.
 func (t *Table) Lookup(attr string, v Value) []int {
+	if Null(v) {
+		return nil
+	}
 	key := strings.ToLower(attr)
 	if t.frozen {
 		j := t.Schema.AttrIndex(key)
@@ -257,59 +253,18 @@ func (t *Table) Lookup(attr string, v Value) []int {
 	t.mu.Lock()
 	idx := t.buildIdxLocked(key)
 	t.mu.Unlock()
-	return idx[Format(v)]
+	return idx[string(AppendKey(nil, v))]
 }
 
-// KeyOf returns the primary-key values of row i, formatted and joined, used
-// to identify distinct objects during pattern disambiguation.
+// KeyOf returns the canonical key of row i's primary-key values (their
+// AppendKey encodings concatenated): two rows get equal keys exactly when
+// their key values pairwise share a dictionary ID.
 func (t *Table) KeyOf(i int) string {
-	parts := make([]string, len(t.Schema.PrimaryKey))
-	for j, k := range t.Schema.PrimaryKey {
-		parts[j] = Format(t.Value(i, k))
+	var buf []byte
+	for _, k := range t.Schema.PrimaryKey {
+		buf = AppendKey(buf, t.Value(i, k))
 	}
-	return strings.Join(parts, "\x1f")
-}
-
-// Project returns a new table with the named attributes; when distinct is
-// true, duplicate projected tuples are removed. The projected table's key is
-// the full attribute list (it is only used as an intermediate result).
-func (t *Table) Project(attrs []string, distinct bool) (*Table, error) {
-	idxs := make([]int, len(attrs))
-	out := NewSchema(t.Schema.Name)
-	for i, a := range attrs {
-		j := t.Schema.AttrIndex(a)
-		if j < 0 {
-			return nil, fmt.Errorf("relation: %s has no attribute %q", t.Schema.Name, a)
-		}
-		idxs[i] = j
-		out.Attributes = append(out.Attributes, t.Schema.Attributes[j])
-	}
-	out.PrimaryKey = append([]string(nil), attrs...)
-	res := NewTable(out)
-	seen := make(map[string]bool)
-	for _, tu := range t.Tuples {
-		row := make(Tuple, len(idxs))
-		for i, j := range idxs {
-			row[i] = tu[j]
-		}
-		if distinct {
-			k := formatRow(row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		res.Tuples = append(res.Tuples, row)
-	}
-	return res, nil
-}
-
-func formatRow(tu Tuple) string {
-	parts := make([]string, len(tu))
-	for i, v := range tu {
-		parts[i] = Format(v)
-	}
-	return strings.Join(parts, "\x1f")
+	return string(buf)
 }
 
 // Database is a named collection of tables with stable iteration order.

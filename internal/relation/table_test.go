@@ -103,26 +103,17 @@ func TestKeyOf(t *testing.T) {
 	if enrol.KeyOf(0) == enrol.KeyOf(1) {
 		t.Error("composite keys must distinguish rows")
 	}
-}
-
-func TestProject(t *testing.T) {
-	tb := sampleTable(t)
-	p, err := tb.Project([]string{"Sname"}, false)
-	if err != nil {
-		t.Fatal(err)
+	// Values containing a would-be separator cannot alias across columns,
+	// and NULL is not the string "NULL".
+	enrol.MustInsert("a\x1fb", "c")
+	enrol.MustInsert("a", "b\x1fc")
+	enrol.MustInsert(nil, "c")
+	enrol.MustInsert("NULL", "c")
+	if enrol.KeyOf(2) == enrol.KeyOf(3) {
+		t.Error(`keys ("a\x1fb","c") and ("a","b\x1fc") collide`)
 	}
-	if p.Len() != 3 {
-		t.Errorf("bag projection keeps duplicates: %d", p.Len())
-	}
-	p, err = tb.Project([]string{"Sname"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 {
-		t.Errorf("distinct projection removes duplicates: %d", p.Len())
-	}
-	if _, err := tb.Project([]string{"NoSuch"}, false); err == nil {
-		t.Error("projecting unknown attribute should fail")
+	if enrol.KeyOf(4) == enrol.KeyOf(5) {
+		t.Error(`keys (NULL,"c") and ("NULL","c") collide`)
 	}
 }
 

@@ -81,7 +81,7 @@ func ValidateData(db *Database) []error {
 			for i := range t.Tuples {
 				k := t.KeyOf(i)
 				if seen[k] {
-					errs = append(errs, fmt.Errorf("relation %s: duplicate key %q", t.Schema.Name, k))
+					errs = append(errs, fmt.Errorf("relation %s row %d: duplicate key", t.Schema.Name, i))
 					break
 				}
 				seen[k] = true

@@ -93,7 +93,12 @@ func TestValidateDataDanglingFK(t *testing.T) {
 func TestValidateDataOK(t *testing.T) {
 	db := validDB()
 	db.Table("Student").MustInsert("s1", "A")
+	db.Table("Student").MustInsert("a", "B")
+	db.Table("Student").MustInsert("a\x1fb", "C")
 	db.Table("Enrol").MustInsert("s1", "c1")
+	// Distinct composite keys that a separator-joined key would merge.
+	db.Table("Enrol").MustInsert("a\x1fb", "c")
+	db.Table("Enrol").MustInsert("a", "b\x1fc")
 	if errs := ValidateData(db); len(errs) != 0 {
 		t.Errorf("valid data rejected: %v", errs)
 	}

@@ -5,6 +5,8 @@
 package relation
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -73,9 +75,10 @@ func AsFloat(v Value) (float64, bool) {
 	}
 }
 
-// Compare orders two values. NULL sorts before every non-NULL value. Numeric
-// values compare numerically even across int64/float64; everything else
-// compares by its string form. The result is -1, 0, or +1.
+// Compare orders two values. NULL sorts before every non-NULL value. Two
+// int64s compare exactly; any other numeric pair, an int64/float64 mix
+// included, compares as float64; everything else compares by its Format
+// rendering. The result is -1, 0, or +1.
 func Compare(a, b Value) int {
 	switch {
 	case Null(a) && Null(b):
@@ -84,6 +87,11 @@ func Compare(a, b Value) int {
 		return -1
 	case Null(b):
 		return 1
+	}
+	if ai, ok := a.(int64); ok {
+		if bi, ok := b.(int64); ok {
+			return cmp.Compare(ai, bi)
+		}
 	}
 	af, aok := numeric(a)
 	bf, bok := numeric(b)
@@ -115,7 +123,9 @@ func numeric(v Value) (float64, bool) {
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Format renders a value the way the engine prints result rows: integers
-// without a decimal point, floats with minimal digits, NULL as "NULL".
+// without a decimal point, floats with minimal digits (negative zero as 0,
+// the value it equals), NULL as "NULL". For non-NULL values it is also the
+// canonical rendering equality keys are built from (see AppendKey and Dict).
 func Format(v Value) string {
 	switch x := v.(type) {
 	case nil:
@@ -123,6 +133,9 @@ func Format(v Value) string {
 	case int64:
 		return strconv.FormatInt(x, 10)
 	case float64:
+		if x == 0 {
+			return "0"
+		}
 		return strconv.FormatFloat(x, 'f', -1, 64)
 	case string:
 		return x
@@ -134,8 +147,8 @@ func Format(v Value) string {
 // AppendFormat appends the Format rendering of v to dst and returns the
 // extended slice, without materializing an intermediate string: integers and
 // floats append their digits directly (strconv.Append*), strings and NULL
-// append their bytes. The execution kernels use it to build per-row hash and
-// join keys allocation-free; AppendFormat(dst, v) is byte-identical to
+// append their bytes. AppendKey builds per-row hash and join keys on it
+// allocation-free; AppendFormat(dst, v) is byte-identical to
 // append(dst, Format(v)...) for every value (pinned by TestAppendFormat).
 func AppendFormat(dst []byte, v Value) []byte {
 	switch x := v.(type) {
@@ -144,12 +157,37 @@ func AppendFormat(dst []byte, v Value) []byte {
 	case int64:
 		return strconv.AppendInt(dst, x, 10)
 	case float64:
+		if x == 0 {
+			return append(dst, '0')
+		}
 		return strconv.AppendFloat(dst, x, 'f', -1, 64)
 	case string:
 		return append(dst, x...)
 	default:
 		return fmt.Appendf(dst, "%v", x)
 	}
+}
+
+// nullKey is AppendKey's encoding of NULL: a length no rendering can have.
+const nullKey = ^uint32(0)
+
+// AppendKey appends v's canonical equality key to dst: the 4-byte
+// little-endian length of its Format rendering followed by the rendering,
+// or, for NULL, the lone length 0xFFFFFFFF. Two values get equal keys
+// exactly when both are NULL or neither is and their renderings are equal —
+// the identity a Dict gives its IDs — and the length prefix keeps
+// concatenated keys unambiguous, so composite keys
+// — multi-column GROUP BY, DISTINCT and join keys over columns without a
+// dictionary, primary keys — are a plain concatenation. Appending into a
+// buffer with capacity does not allocate for the common value classes.
+func AppendKey(dst []byte, v Value) []byte {
+	if v == nil {
+		return binary.LittleEndian.AppendUint32(dst, nullKey)
+	}
+	n0 := len(dst)
+	dst = AppendFormat(binary.LittleEndian.AppendUint32(dst, 0), v)
+	binary.LittleEndian.PutUint32(dst[n0:], uint32(len(dst)-n0-4))
+	return dst
 }
 
 // Literal renders a value as a SQL literal: strings are single-quoted with

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +20,11 @@ func TestCompareNumeric(t *testing.T) {
 		{nil, Int(0), -1},
 		{Int(0), nil, 1},
 		{nil, nil, 0},
+		// int64 pairs compare exactly, beyond float64's 2^53 precision
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(math.MaxInt64 - 1), Int(math.MaxInt64), -1},
+		{Float(0), Float(math.Copysign(0, -1)), 0},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -77,6 +83,7 @@ func TestFormat(t *testing.T) {
 		{Int(-7), "-7"},
 		{Float(1.5), "1.5"},
 		{Float(2), "2"},
+		{Float(math.Copysign(0, -1)), "0"},
 		{Str("hello"), "hello"},
 		{nil, "NULL"},
 	}

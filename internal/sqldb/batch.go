@@ -247,11 +247,8 @@ func (e *executor) fillBitsRange(rs *rowset, i int, id uint32, keep []uint64, se
 }
 
 // gatherSelected appends the selected rows to out in ascending row order,
-// preallocated to the selection count so the emits never reallocate. verify,
-// when non-nil, re-checks each candidate against the boxed value (equality
-// candidates need it: NULL shares its dictionary ID with the literal string
-// "NULL", exactly like the index path's candidates).
-func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset, verify func(ri int) bool) error {
+// preallocated to the selection count so the emits never reallocate.
+func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset) error {
 	n := len(rs.rows)
 	count := countBits(sel)
 	out.rows = make([]relation.Tuple, 0, count)
@@ -272,9 +269,6 @@ func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset, verify 
 		idx = selIndexes(idx, sel[b*blockWords:], nb)
 		for _, k := range idx {
 			ri := lo + int(k)
-			if verify != nil && !verify(ri) {
-				continue
-			}
 			out.rows = append(out.rows, rs.rows[ri])
 			if out.dicts != nil {
 				out.enc = append(out.enc, rs.enc[ri*st:(ri+1)*st]...)
@@ -287,9 +281,9 @@ func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset, verify 
 
 // batchProbe is the vectorized probe of the single-encoded-key hash join:
 // per block it translates the probe IDs through the cached remap table,
-// masks out misses (NoID) and NULL rows branch-free, packs the survivors
-// into a selection vector and walks the build chains only for those. Output
-// order is ascending probe row.
+// masks out misses (NoID, which NULL rows always are) branch-free, packs the
+// survivors into a selection vector and walks the build chains only for
+// those. Output order is ascending probe row.
 // dense and mapHeads are the two build-side head structures (exactly one is
 // non-nil); next threads each chain in ascending build-row order.
 func (e *executor) batchProbe(left *rowset, li int, remap []uint32, dense []int32, mapHeads map[uint32]int32, next []int32, emit func(lj, rj int)) error {
@@ -346,22 +340,9 @@ func (e *executor) batchProbe(left *rowset, li int, remap []uint32, dense []int3
 				sel[w] = word
 			}
 		}
-		// NULL never joins, and NULL shares its dictionary ID with the
-		// literal string "NULL", so ID survival is not enough: contiguous
-		// scans clear null rows word-by-word from their null bitset, derived
-		// rowsets re-check the boxed value per survivor below.
-		checkNull := col == nil
-		if col != nil && col.Nulls != nil {
-			for w := 0; w*64 < nb; w++ {
-				sel[w] &^= col.NullWord(lo/64 + w)
-			}
-		}
 		idx = selIndexes(idx, sel[:], nb)
 		for _, k := range idx {
 			lj := lo + int(k)
-			if checkNull && relation.Null(left.rows[lj][li]) {
-				continue
-			}
 			var rj int32
 			if dense != nil {
 				rj = dense[pids[k]]
@@ -534,6 +515,11 @@ func carveLists(rowSlot []int32, sizes []int32) [][]int {
 	return lists
 }
 
+// nullFree reports whether column i of rs provably holds no NULL: it is
+// encoded and its dictionary never interned one. COUNT over such a column is
+// the group size.
+func nullFree(rs *rowset, i int) bool { return rs.encoded(i) && !rs.dicts[i].HasNull() }
+
 // simplePlan reports whether every select item is a group column or a
 // non-DISTINCT aggregate — the shapes batchAggregate folds columnar, in one
 // pass over the slot assignment, without materializing per-slot row lists.
@@ -547,7 +533,8 @@ func simplePlan(plan []selItem) bool {
 }
 
 // batchAggregate computes a simplePlan projection columnar: one pass per
-// aggregate over the rowSlot assignment, accumulating into per-slot state.
+// aggregate over the rowSlot assignment, accumulating into per-slot state
+// (COUNT over a column whose dictionary holds no NULL is the group size).
 // Rows are visited in ascending order, so each slot sees its rows in exactly
 // the order the per-list fold would — COUNT, MIN/MAX (first non-null seed,
 // strict-compare replacement) and SUM/AVG (float fold with all-int tracking)
@@ -568,24 +555,9 @@ func (e *executor) batchAggregate(rs *rowset, plan []selItem, rowSlot []int32, f
 		switch s.ex.Func {
 		case sqlast.AggCount:
 			counts := make([]int64, ns)
-			if col := colView(rs, s.col); col != nil && col.Nulls == nil {
-				// No NULLs in the column: COUNT is the group size.
+			if nullFree(rs, s.col) {
 				for slot, sz := range sizes {
 					counts[slot] = int64(sz)
-				}
-			} else if col != nil {
-				for lo := 0; lo < n; lo += relation.BlockSize {
-					if err := e.stepN(relation.BlockSize); err != nil {
-						return err
-					}
-					hi := lo + relation.BlockSize
-					if hi > n {
-						hi = n
-					}
-					for ri := lo; ri < hi; ri++ {
-						// Branch-free: add the complement of the null bit.
-						counts[rowSlot[ri]] += int64(^col.Nulls[ri>>6] >> (uint(ri) & 63) & 1)
-					}
 				}
 			} else {
 				for lo := 0; lo < n; lo += relation.BlockSize {

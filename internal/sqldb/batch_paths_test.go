@@ -43,8 +43,9 @@ func threeWayBlocks(t *testing.T, sql string) {
 // suites don't reach onto multi-block inputs, each run three ways (see
 // threeWayBlocks): the packed 3-key join, the map-slot grouping ladder rung
 // (high-cardinality key on a small filtered input), COUNT over a
-// NULL-carrying column (bitset complement on base scans, boxed on derived
-// rowsets), DISTINCT's ladder, and ORDER BY + LIMIT over grouped output.
+// NULL-carrying column (boxed NULL checks, on base scans and derived
+// rowsets) and over a NULL-free one (the group-size shortcut, on a derived
+// rowset), DISTINCT's ladder, and ORDER BY + LIMIT over grouped output.
 func TestBatchOperatorPathsThreeWay(t *testing.T) {
 	for name, sql := range map[string]string{
 		// Three encoded equality keys: the packed-buffer join build/probe.
@@ -57,12 +58,17 @@ func TestBatchOperatorPathsThreeWay(t *testing.T) {
 		// slot table loses to the map rung on the derived (strided) input.
 		"group-map-slots": "SELECT S.Sid, COUNT(S.Sid) AS n FROM Student S " +
 			"WHERE S.Age = 20 GROUP BY S.Sid",
-		// Age carries a NULL bitset: COUNT must add the bit complement, not
-		// the group size.
+		// Age's dictionary holds NULL: COUNT must skip the NULL rows, not
+		// take the group size. (The name predates NullID, when a null
+		// bitset marked them.)
 		"count-null-bitset": "SELECT S.Sname, COUNT(S.Age) AS c FROM Student S GROUP BY S.Sname",
 		// Same COUNT on a derived rowset: no column view, boxed NULL checks.
 		"count-null-derived": "SELECT D.Sname, COUNT(D.Age) AS c " +
 			"FROM (SELECT S.Sname, S.Age FROM Student S) D GROUP BY D.Sname",
+		// Sid's dictionary holds no NULL: COUNT is the group size, on a
+		// derived rowset too.
+		"count-nonnull-derived": "SELECT D.Sname, COUNT(D.Sid) AS c " +
+			"FROM (SELECT S.Sname, S.Sid FROM Student S WHERE S.Age > 20) D GROUP BY D.Sname",
 		// Multi-key grouping with NULLs in one key.
 		"group-2key": "SELECT S.Sname, S.Age, COUNT(S.Sid) AS n FROM Student S GROUP BY S.Sname, S.Age",
 		// DISTINCT ladder: single key and packed pair over multi-block input.

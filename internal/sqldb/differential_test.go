@@ -182,10 +182,10 @@ func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 	}
 }
 
-// TestDifferentialEqualityCorners hand-builds rows around the index's edge
-// cases — NULLs, a literal "NULL" string (which shares the NULL rows' index
-// key after Format), int vs float constants — and checks the three ways
-// agree on direct equality filters.
+// TestDifferentialEqualityCorners hand-builds rows around equality's edge
+// cases — NULLs, a literal "NULL" string (which must not match NULL rows),
+// int vs float constants, 0 vs -0 — and checks the three ways agree on
+// direct equality filters.
 func TestDifferentialEqualityCorners(t *testing.T) {
 	db := relation.NewDatabase("corners")
 	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Qty INT", "Price FLOAT").Key("Id"))
@@ -209,12 +209,13 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 		// unmatched constant: empty either way
 		"SELECT I.Id FROM Item I WHERE I.Qty = 99",
 		// float constant: not indexable, but the dictionary-ID kernel path
-		// answers it (with boxed re-verification) and all three must agree
+		// answers it and all three must agree
 		"SELECT I.Id FROM Item I WHERE I.Price = 1.5",
-		// float zero: Format splits "0"/"-0" while Compare does not, so the
-		// kernel path must decline (dictableEq) and fall back to the Compare
-		// scan — rows i6 and i7 both match every way
+		// float zero through the kernel path: 0 and -0 share a dictionary
+		// ID, so rows i6 and i7 both match every way
 		"SELECT I.Id FROM Item I WHERE I.Price = 0.0",
+		// int zero through the value index: the same ID, the same two rows
+		"SELECT I.Id FROM Item I WHERE I.Price = 0",
 	} {
 		q, err := sqldb.Parse(sql)
 		if err != nil {
@@ -223,9 +224,9 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 		diffThreeWay(t, db, unfrozen, sql, q)
 	}
 
-	// Pin the specific trap: Format(nil) == "NULL" == Format("NULL"), so the
-	// index bucket for the constant 'NULL' contains row i3; the executor must
-	// filter it back out.
+	// Pin the specific trap: Format(nil) == "NULL" == Format("NULL"), yet
+	// the index bucket for the constant 'NULL' is the string's alone (NULL
+	// rows hold NullID), so row i3 never matches.
 	q, err := sqldb.Parse("SELECT I.Id FROM Item I WHERE I.Name = 'NULL'")
 	if err != nil {
 		t.Fatal(err)

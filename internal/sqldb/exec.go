@@ -140,12 +140,12 @@ func (rs *rowset) has(c sqlast.Col) bool {
 }
 
 // appendHashKey appends an injective hash key for the given columns of row
-// ri: a fixed 4-byte dictionary ID for encoded columns, a length-prefixed
-// Format rendering otherwise. Two rows of the same rowset get equal keys
-// exactly when every selected column pair formats equally — unlike the old
-// "\x1f"-joined keys, values containing the separator cannot alias.
+// ri: a fixed 4-byte dictionary ID for encoded columns, the canonical
+// relation.AppendKey otherwise. Two rows of the same rowset get equal keys
+// exactly when every selected column pair shares a dictionary ID (NULL
+// with NULL), so grouping and DISTINCT agree on both halves.
 //
-// The formatted-key half (here, appendJoinKey and the string-keyed DISTINCT
+// The AppendKey half (here, appendJoinKey and the string-keyed DISTINCT
 // aggregate) is needed only for columns that carry no dictionary: computed
 // aggregate outputs, which a derived table can feed into an outer GROUP BY,
 // DISTINCT or join, and tables of a database that was never frozen.
@@ -155,7 +155,7 @@ func (rs *rowset) appendHashKey(buf []byte, ri int, idx []int) []byte {
 		if rs.encoded(i) {
 			buf = appendLE32(buf, rs.enc[ri*st+i])
 		} else {
-			buf = appendFormatted(buf, rs.rows[ri][i])
+			buf = relation.AppendKey(buf, rs.rows[ri][i])
 		}
 	}
 	return buf
@@ -163,24 +163,6 @@ func (rs *rowset) appendHashKey(buf []byte, ri int, idx []int) []byte {
 
 func appendLE32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// putLE32 overwrites the four bytes at b[off:] with v, little-endian.
-func putLE32(b []byte, off int, v uint32) {
-	b[off], b[off+1], b[off+2], b[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-// appendFormatted appends the length-prefixed Format rendering of v without
-// materializing a string per row: a placeholder length is appended first and
-// backfilled once the value's bytes are in place. The output is
-// byte-identical to appendLE32(buf, len(Format(v))) + Format(v) bytes
-// (pinned by TestAppendFormattedKeyBytes).
-func appendFormatted(buf []byte, v relation.Value) []byte {
-	n0 := len(buf)
-	buf = appendLE32(buf, 0)
-	buf = relation.AppendFormat(buf, v)
-	putLE32(buf, n0, uint32(len(buf)-n0-4))
-	return buf
 }
 
 type executor struct {
@@ -503,11 +485,10 @@ func localPred(rs *rowset, p sqlast.Pred) bool {
 	}
 }
 
-// keyableConst reports whether the constant can key a hash/index lookup.
-// Floating-point constants fall back to the scan path: the index and the
-// dictionaries are keyed by the formatted value, and float formatting has
-// corners (negative zero) where format equality and Compare equality
-// disagree.
+// keyableConst reports whether an equality constant is answered through the
+// per-table value index on a pristine scan: strings and ints, the constants
+// keyword matching generates. Other constants (floats) take the dictionary-ID
+// kernel instead; both decide equality by the same dictionary ID.
 func keyableConst(v relation.Value) bool {
 	switch v.(type) {
 	case string, int64:
@@ -522,19 +503,6 @@ func keyableConst(v relation.Value) bool {
 func indexableEq(rs *rowset, p sqlast.Pred) bool {
 	pp, ok := p.(sqlast.ComparePred)
 	return ok && pp.Op == sqlast.OpEq && rs.base != nil && keyableConst(pp.Value)
-}
-
-// dictableEq reports whether an equality constant may be answered through a
-// dictionary ID bucket (with a boxed Compare re-verify of the candidates).
-// Wider than keyableConst: any constant formats deterministically and the
-// re-verify rejects format collisions, so floats qualify too — except a float
-// zero, where Format distinguishes "0" from "-0" while Compare does not, so
-// the bucket would miss the other sign's rows that a Compare scan matches.
-func dictableEq(v relation.Value) bool {
-	if f, ok := v.(float64); ok && f == 0 {
-		return false
-	}
-	return true
 }
 
 func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
@@ -556,24 +524,21 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 			return nil, err
 		}
 		if indexableEq(rs, p) {
-			// Index lookup instead of a scan: candidates come from the value
-			// index (ascending row ids, so scan order is preserved) and are
-			// re-verified with Compare, which also rejects NULLs colliding
-			// with the formatted key.
+			// Index lookup instead of a scan: the value index's postings of
+			// the constant's dictionary ID are exactly the matching rows, in
+			// ascending order, so scan order is preserved.
 			for _, ri := range rs.base.Lookup(rs.cols[i].name, pp.Value) {
-				v := rs.rows[ri][i]
-				if !relation.Null(v) && relation.Compare(v, pp.Value) == 0 {
-					emit(ri)
-				}
+				emit(ri)
 			}
 			return out, nil
 		}
-		if pp.Op == sqlast.OpEq && rs.encoded(i) && dictableEq(pp.Value) {
+		if pp.Op == sqlast.OpEq && rs.encoded(i) {
 			// Encoded equality on a derived rowset (post-filter, post-join or
-			// subquery output): a branch-free per-block kernel compares
-			// dictionary IDs into the selection bitset, then the gather emits
-			// only the selected rows, preallocated to the match count and
-			// re-verified with Compare exactly like the index path.
+			// subquery output) or with a float constant: a branch-free
+			// per-block kernel compares dictionary IDs into the selection
+			// bitset, then the gather emits only the selected rows,
+			// preallocated to the match count. NULL rows hold NullID, which
+			// ID never returns, so they never match.
 			id, ok := rs.dicts[i].ID(pp.Value)
 			if !ok {
 				return out, nil
@@ -582,11 +547,7 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 			if err != nil {
 				return nil, err
 			}
-			err = e.gatherSelected(rs, sel, out, func(ri int) bool {
-				v := rs.rows[ri][i]
-				return !relation.Null(v) && relation.Compare(v, pp.Value) == 0
-			})
-			return out, err
+			return out, e.gatherSelected(rs, sel, out)
 		}
 		for ri, row := range rs.rows {
 			if err := e.step(); err != nil {
@@ -629,7 +590,7 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 			// mixed types one ID can cover values of different dynamic
 			// types, and the per-entry answer would be wrong for some of its
 			// rows. AllStrings also implies no NULL rows (NULL is not a
-			// string), so no re-verification is needed.
+			// string), so NullID never occurs in the column.
 			keep := make([]uint64, (d.Len()+63)/64)
 			for id := 0; id < d.Len(); id++ {
 				s, _ := d.Value(uint32(id)).(string)
@@ -641,8 +602,7 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 			if err != nil {
 				return nil, err
 			}
-			err = e.gatherSelected(rs, sel, out, nil)
-			return out, err
+			return out, e.gatherSelected(rs, sel, out)
 		}
 		for ri, row := range rs.rows {
 			if err := e.step(); err != nil {
@@ -799,8 +759,9 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 		// a cached left-to-right ID translation table. Chains are threaded in
 		// reverse row order so probing walks matches in ascending row order,
 		// matching the formatted-key path's output order exactly. NULL never
-		// joins, and NULL shares its ID with the literal string "NULL", so
-		// the skip must test the boxed value.
+		// joins without a test: the remap sends NullID to NoID and never
+		// yields NullID, so NULL probes miss and NULL build chains are never
+		// walked.
 		li, ri := lidx[0], ridx[0]
 		next := make([]int32, len(right.rows))
 		nd := right.dicts[ri].Len()
@@ -814,9 +775,6 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 				denseHeads[i] = -1
 			}
 			for rj := len(right.rows) - 1; rj >= 0; rj-- {
-				if relation.Null(right.rows[rj][ri]) {
-					continue
-				}
 				id := right.enc[rj*rst+ri]
 				next[rj] = denseHeads[id]
 				denseHeads[id] = int32(rj)
@@ -826,9 +784,6 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 			// over a wide column): a map wastes less than a dense table.
 			mapHeads = make(map[uint32]int32, len(right.rows))
 			for rj := len(right.rows) - 1; rj >= 0; rj-- {
-				if relation.Null(right.rows[rj][ri]) {
-					continue
-				}
 				id := right.enc[rj*rst+ri]
 				h, ok := mapHeads[id]
 				if !ok {
@@ -849,8 +804,8 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 			return out, nil
 		}
 		// Batch probe: translate a block of probe IDs through the remap
-		// table, mask misses and NULLs branch-free, walk chains only for the
-		// packed survivors (see batchProbe).
+		// table, mask misses branch-free, walk chains only for the packed
+		// survivors (see batchProbe).
 		if err := e.batchProbe(left, li, remap, denseHeads, mapHeads, next, emit); err != nil {
 			return nil, err
 		}
@@ -863,10 +818,6 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 		next := make([]int32, len(right.rows))
 		heads := make(map[uint64]int32, len(right.rows))
 		for rj := len(right.rows) - 1; rj >= 0; rj-- {
-			rr := right.rows[rj]
-			if relation.Null(rr[r0]) || relation.Null(rr[r1]) {
-				continue
-			}
 			key := uint64(right.enc[rj*rst+r0]) | uint64(right.enc[rj*rst+r1])<<32
 			h, ok := heads[key]
 			if !ok {
@@ -877,12 +828,9 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 		}
 		remap0 := left.dicts[l0].RemapCached(right.dicts[r0])
 		remap1 := left.dicts[l1].RemapCached(right.dicts[r1])
-		for lj, lr := range left.rows {
+		for lj := range left.rows {
 			if err := e.step(); err != nil {
 				return nil, err
-			}
-			if relation.Null(lr[l0]) || relation.Null(lr[l1]) {
-				continue
 			}
 			id0 := remap0[left.enc[lj*lst+l0]]
 			id1 := remap1[left.enc[lj*lst+l1]]
@@ -904,13 +852,9 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 		slots := make(map[string]int, len(right.rows))
 		var lists [][]int
 		buf := make([]byte, 0, 4*len(eqs))
-	buildRows:
-		for rj, rr := range right.rows {
+		for rj := range right.rows {
 			buf = buf[:0]
 			for k := range eqs {
-				if relation.Null(rr[ridx[k]]) {
-					continue buildRows
-				}
 				buf = appendLE32(buf, right.enc[rj*rst+ridx[k]])
 			}
 			slot, ok := slots[string(buf)]
@@ -926,15 +870,12 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 			remaps[k] = left.dicts[lidx[k]].RemapCached(right.dicts[ridx[k]])
 		}
 	probeRows:
-		for lj, lr := range left.rows {
+		for lj := range left.rows {
 			if err := e.step(); err != nil {
 				return nil, err
 			}
 			buf = buf[:0]
 			for k := range eqs {
-				if relation.Null(lr[lidx[k]]) {
-					continue probeRows
-				}
 				id := remaps[k][left.enc[lj*lst+lidx[k]]]
 				if id == relation.NoID {
 					continue probeRows
@@ -950,9 +891,8 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 			}
 		}
 	default:
-		// A key column without a dictionary (see appendHashKey):
-		// length-prefixed formatted keys. Like the encoded kernels these
-		// cannot alias values containing the old "\x1f" separator.
+		// A key column without a dictionary (see appendHashKey): canonical
+		// relation.AppendKey keys, NULL rows skipped.
 		slots := make(map[string]int, len(right.rows))
 		var lists [][]int
 		var buf []byte
@@ -991,15 +931,15 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 	return out, nil
 }
 
-// appendJoinKey appends the length-prefixed formatted join key of the given
-// columns, reporting false when any key value is NULL (NULL never joins).
+// appendJoinKey appends the canonical join key of the given columns,
+// reporting false when any key value is NULL (NULL never joins).
 func appendJoinKey(buf []byte, row relation.Tuple, idx []int) ([]byte, bool) {
 	for _, i := range idx {
 		v := row[i]
 		if relation.Null(v) {
 			return buf, false
 		}
-		buf = appendFormatted(buf, v)
+		buf = relation.AppendKey(buf, v)
 	}
 	return buf, true
 }
@@ -1088,9 +1028,8 @@ func (e *executor) project(rs *rowset, q *sqlast.Query, wantEnc bool) (*rowset, 
 	}
 
 	// Bucket rows into groups; lists and firsts are in first-seen order.
-	// Unlike joins, grouping does not skip NULLs — a NULL key groups with
-	// the literal string "NULL" by format, which is exactly the class the
-	// shared dictionary ID represents.
+	// Unlike joins, grouping does not skip NULLs: NULL keys form one group
+	// (NullID, or AppendKey's NULL key), apart from the string "NULL".
 	var lists [][]int
 	var firsts []int
 	allEnc := len(gidx) > 0
@@ -1323,8 +1262,8 @@ func aggregate(ex sqlast.AggExpr, rs *rowset, rows []int, i int) (relation.Value
 	}
 	var vals []relation.Value
 	if rs.encoded(i) {
-		// DISTINCT de-duplicates by formatted value; the dictionary ID is
-		// that class, so no per-row formatting is needed.
+		// DISTINCT de-duplicates by dictionary ID, so no per-row formatting
+		// is needed.
 		seen := make(map[uint32]bool)
 		for _, ri := range rows {
 			v := rs.rows[ri][i]

@@ -180,7 +180,6 @@ func (e *executor) parProbe(left, right *rowset, li int, remap []uint32, dense [
 	n := len(left.rows)
 	col := colView(left, li)
 	lst, rst := len(left.cols), len(right.cols)
-	checkNull := col == nil
 	matches := make([][]uint64, shardsOf(n, e.shardSize()))
 	err := e.forEachShard(n, func(s, shLo, shHi int) error {
 		var sel [blockWords]uint64
@@ -230,17 +229,9 @@ func (e *executor) parProbe(left, right *rowset, li int, remap []uint32, dense [
 					sel[w] = word
 				}
 			}
-			if col != nil && col.Nulls != nil {
-				for w := 0; w*64 < nb; w++ {
-					sel[w] &^= col.NullWord(lo/64 + w)
-				}
-			}
 			idx = selIndexes(idx, sel[:], nb)
 			for _, k := range idx {
 				lj := lo + int(k)
-				if checkNull && relation.Null(left.rows[lj][li]) {
-					continue
-				}
 				var rj int32
 				if dense != nil {
 					rj = dense[pids[k]]
@@ -458,11 +449,12 @@ func (e *executor) parGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, first
 // worker with the same aggregate() the per-list fold uses, so every fold
 // (float sums included) associates exactly as the single-shard fold does.
 // Covers DISTINCT aggregates too, since aggregate() does. A non-DISTINCT
-// COUNT over a NULL-free column short-circuits to the group size (the same
-// fast path batchAggregate takes; COUNT is order-independent, so the value
-// is identical), and when every aggregate in the plan qualifies the per-slot
-// row lists are never materialized. Output rows are emitted in slot
-// (first-seen) order, identical to the sequential paths.
+// COUNT over a column whose dictionary holds no NULL short-circuits to the
+// group size (the same fast path batchAggregate takes; COUNT is
+// order-independent, so the value is identical), and when every aggregate
+// in the plan qualifies the per-slot row lists are never materialized.
+// Output rows are emitted in slot (first-seen) order, identical to the
+// sequential paths.
 func (e *executor) parAggregate(rs *rowset, plan []selItem, rowSlot []int32, firsts []int, sizes []int32, out *rowset) error {
 	ns := len(firsts)
 	fastCount := make([]bool, len(plan))
@@ -471,13 +463,8 @@ func (e *executor) parAggregate(rs *rowset, plan []selItem, rowSlot []int32, fir
 		if !s.agg {
 			continue
 		}
-		if s.ex.Func == sqlast.AggCount && !s.ex.Distinct {
-			if col := colView(rs, s.col); col != nil && col.Nulls == nil {
-				fastCount[k] = true
-				continue
-			}
-		}
-		needLists = true
+		fastCount[k] = s.ex.Func == sqlast.AggCount && !s.ex.Distinct && nullFree(rs, s.col)
+		needLists = needLists || !fastCount[k]
 	}
 	var lists [][]int
 	if needLists {

@@ -16,8 +16,11 @@ import (
 // refExec is an independent reference evaluator used for differential
 // testing: nested loops over the FROM sources in FROM order, then grouping,
 // aggregation and projection — no hash joins, no join ordering, no
-// dictionaries or indexes. It shares no evaluation code with the executor,
-// so any divergence from ExecOpts is a bug in one of them.
+// dictionaries, indexes or hash keys. It shares no evaluation code with the
+// executor, so any divergence from ExecOpts is a bug in one of them. Value
+// sameness (GROUP BY, DISTINCT, DISTINCT aggregates) is decided by pairwise
+// relation.Compare alone, NULL matching NULL (see refClasses), never by the
+// executor's canonical key.
 //
 // The WHERE clause is a conjunction, so each conjunct is applied as soon as
 // the nested loops have bound every column it reads; the product is never
@@ -158,29 +161,26 @@ func refExec(db *relation.Database, q *sqlast.Query) (*Result, error) {
 			res.Rows = append(res.Rows, out)
 		}
 	} else {
-		groups := map[string][]relation.Tuple{}
-		var order []string
-		for _, row := range kept {
-			var parts []string
-			for _, c := range q.GroupBy {
-				i, err := resolve(c)
-				if err != nil {
-					return nil, err
-				}
-				parts = append(parts, relation.Format(row[i]))
+		gidx := make([]int, len(q.GroupBy))
+		for k, c := range q.GroupBy {
+			i, err := resolve(c)
+			if err != nil {
+				return nil, err
 			}
-			key := strings.Join(parts, "\x1f")
-			if _, ok := groups[key]; !ok {
-				order = append(order, key)
+			gidx[k] = i
+		}
+		var groups [][]relation.Tuple
+		for _, class := range refClasses(kept, gidx) {
+			g := make([]relation.Tuple, len(class))
+			for k, ri := range class {
+				g[k] = kept[ri]
 			}
-			groups[key] = append(groups[key], row)
+			groups = append(groups, g)
 		}
-		if len(q.GroupBy) == 0 && len(order) == 0 {
-			order = append(order, "")
-			groups[""] = nil
+		if len(q.GroupBy) == 0 && len(groups) == 0 {
+			groups = append(groups, nil)
 		}
-		for _, key := range order {
-			g := groups[key]
+		for _, g := range groups {
 			out := make(relation.Tuple, len(q.Select))
 			for k, it := range q.Select {
 				switch ex := it.Expr.(type) {
@@ -221,24 +221,55 @@ func refExec(db *relation.Database, q *sqlast.Query) (*Result, error) {
 	return res, nil
 }
 
+// refClasses partitions rows into classes of pairwise-equal values on the
+// columns idx, where two values are equal when relation.Compare returns 0
+// (NULL equals NULL here, as SQL's GROUP BY and DISTINCT treat it). Rows
+// are stable-sorted by Compare and equal neighbors merged — pairwise
+// comparisons only, no hash key — and classes are returned in first-seen
+// order, each holding its row indexes ascending.
+func refClasses(rows []relation.Tuple, idx []int) [][]int {
+	cmp := func(a, b int) int {
+		for _, i := range idx {
+			if c := relation.Compare(rows[a][i], rows[b][i]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cmp(order[a], order[b]) < 0 })
+	var classes [][]int
+	for k, ri := range order {
+		if k == 0 || cmp(order[k-1], ri) != 0 {
+			classes = append(classes, nil)
+		}
+		classes[len(classes)-1] = append(classes[len(classes)-1], ri)
+	}
+	sort.Slice(classes, func(a, b int) bool { return classes[a][0] < classes[b][0] })
+	return classes
+}
+
 // refAggregate, refDistinct and refOrderBy are the reference evaluator's own
 // implementations, independent of the executor's encoded kernels.
 func refAggregate(ex sqlast.AggExpr, rows []relation.Tuple, i int) (relation.Value, error) {
-	var vals []relation.Value
-	seen := make(map[string]bool)
+	var nonNull []relation.Tuple
 	for _, row := range rows {
-		v := row[i]
-		if relation.Null(v) {
-			continue
+		if !relation.Null(row[i]) {
+			nonNull = append(nonNull, row)
 		}
-		if ex.Distinct {
-			k := relation.Format(v)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+	}
+	var vals []relation.Value
+	if ex.Distinct {
+		for _, class := range refClasses(nonNull, []int{i}) {
+			vals = append(vals, nonNull[class[0]][i])
 		}
-		vals = append(vals, v)
+	} else {
+		for _, row := range nonNull {
+			vals = append(vals, row[i])
+		}
 	}
 	switch ex.Func {
 	case sqlast.AggCount:
@@ -285,19 +316,12 @@ func refAggregate(ex sqlast.AggExpr, rows []relation.Tuple, i int) (relation.Val
 
 func refDistinct(res *Result) *Result {
 	out := &Result{Columns: res.Columns}
-	seen := make(map[string]bool)
-	for _, row := range res.Rows {
-		var b strings.Builder
-		for _, v := range row {
-			s := relation.Format(v)
-			fmt.Fprintf(&b, "%d:%s|", len(s), s)
-		}
-		key := b.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out.Rows = append(out.Rows, row)
+	all := make([]int, len(res.Columns))
+	for i := range all {
+		all[i] = i
+	}
+	for _, class := range refClasses(res.Rows, all) {
+		out.Rows = append(out.Rows, res.Rows[class[0]])
 	}
 	return out
 }
@@ -456,19 +480,40 @@ func canonicalRows(res *Result) []string {
 }
 
 // TestDifferentialAgainstReference compares the executor against the
-// brute-force reference on hundreds of random queries over the university
-// database, twice with the same seed: unfrozen, where every hash path keys
-// on formatted values, and frozen, where the dictionary encoding routes the
-// same statements through the batch kernels.
+// brute-force reference on hundreds of random queries, with the same seed
+// over three inputs: the university database unfrozen, where every hash
+// path keys on canonical values, and frozen, where the dictionary encoding
+// routes the same statements through the batch kernels; and a small frozen
+// database of the values equality must keep apart (NULL, the string
+// "NULL") or together (0, -0).
 func TestDifferentialAgainstReference(t *testing.T) {
 	frozen := uniDB(t)
 	frozen.Freeze()
 	for _, in := range []struct {
 		name string
 		db   *relation.Database
-	}{{"unfrozen", uniDB(t)}, {"frozen", frozen}} {
+	}{{"unfrozen", uniDB(t)}, {"frozen", frozen}, {"null-zero", nullZeroDB()}} {
 		t.Run(in.name, func(t *testing.T) { diffRandomAgainstReference(t, in.db) })
 	}
+}
+
+// nullZeroDB is a small frozen database whose string columns hold NULL
+// beside the string "NULL" and whose Price column holds NULL, 0 and -0.
+// Price is one of the generator's integer attributes, so random equality
+// constants include int 0 against the float zeros.
+func nullZeroDB() *relation.Database {
+	db := relation.NewDatabase("nullzero")
+	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Price FLOAT").Key("Id"))
+	sale := db.AddSchema(relation.NewSchema("Sale", "Sid", "Id", "Name", "Price FLOAT").Key("Sid"))
+	negZero := math.Copysign(0, -1)
+	names := []relation.Value{"NULL", nil, "a", "NULL", nil, "Green", "c1"}
+	prices := []relation.Value{0.0, negZero, nil, 1.5, negZero, 0.0, 2.0}
+	for i := range names {
+		item.MustInsert(fmt.Sprintf("i%d", i), names[i], prices[i])
+		sale.MustInsert(fmt.Sprintf("s%d", i), fmt.Sprintf("i%d", i%4), names[(i+3)%len(names)], prices[(i+1)%len(prices)])
+	}
+	db.Freeze()
+	return db
 }
 
 // diffRandomAgainstReference runs 500 seeded random statements through

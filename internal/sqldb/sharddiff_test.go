@@ -96,8 +96,8 @@ func shardDiffDB() *relation.Database {
 func TestShardDifferentialSynthetic(t *testing.T) {
 	db := shardDiffDB()
 	for _, sql := range []string{
-		// Parallel filter fill: int equality, float equality (dict path with
-		// re-verify), the NULL vs "NULL" trap, CONTAINS keep-bitset.
+		// Parallel filter fill: int equality, float equality (dictionary-ID
+		// path), the NULL vs "NULL" trap, CONTAINS keep-bitset.
 		"SELECT S.Sid FROM Student S WHERE S.Age = 21",
 		"SELECT S.Sid FROM Student S WHERE S.Gpa = 1.5",
 		"SELECT S.Sid FROM Student S WHERE S.Name = 'NULL'",
