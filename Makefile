@@ -60,12 +60,14 @@ test-backend:
 
 # Incremental-commit differential under the race detector: the relation
 # delta-builder suite (ExtendFrozen vs full Freeze, index patching vs
-# BuildIndex), the core Live incremental-vs-direct-Open equivalence, and
-# the top-level replay of every dataset workload on an engine built via K
-# incremental commits against one full core.Open — byte-identical answers
-# required throughout, including under chaos injection mid-query.
+# BuildIndex, the database's cached index under concurrent first use), the
+# core Live incremental-vs-direct-Open equivalence, and the top-level replay
+# of every dataset workload (engine and SQAK baseline) on an engine built via
+# K incremental commits against one full core.Open — byte-identical answers
+# required throughout, including under chaos injection mid-query — plus the
+# one-index-per-epoch identity check.
 test-incremental:
-	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch' . ./internal/relation/ ./internal/core/
+	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DatabaseIndex|OneIndexPerEpoch|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch' . ./internal/relation/ ./internal/core/
 
 # Short fuzzing pass over every fuzz target (~6 minutes total); the nightly
 # workflow runs this, and `go test ./...` always replays the committed seed

@@ -19,8 +19,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -99,15 +101,30 @@ func parseBench(line string) (Benchmark, bool) {
 }
 
 func main() {
-	compare := flag.String("compare", "",
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, converts the benchmark text on
+// stdin to JSON on stdout, runs the -compare gate, and returns the exit
+// status (0 ok or -h, 1 no results, unreadable input or a failed gate, 2
+// bad flags).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	compare := fs.String("compare", "",
 		"baseline benchjson document; exit 1 when any of its rows/s benchmarks regresses or disappears")
-	tolerance := flag.Float64("tolerance", 0.25,
+	tolerance := fs.Float64("tolerance", 0.25,
 		"allowed fractional rows/s drop below the -compare baseline before failing")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	rep := Report{Benchmarks: []Benchmark{}}
 	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -127,38 +144,40 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: reading stdin:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson: reading stdin:", err)
+		return 1
 	}
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark result lines on stdin")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson: no benchmark result lines on stdin")
+		return 1
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
-	if *compare != "" {
-		base, err := loadReport(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: loading baseline:", err)
-			os.Exit(1)
-		}
-		lines, failures := compareReports(base, rep, *tolerance)
-		fmt.Fprintf(os.Stderr, "benchjson: comparing %d rows/s benchmarks against %s (tolerance %.0f%%)\n",
-			len(lines), *compare, 100**tolerance)
-		for _, l := range lines {
-			fmt.Fprintln(os.Stderr, "  "+l)
-		}
-		if len(failures) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s):\n", len(failures))
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, "  "+f)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "benchjson: no regressions")
+	if *compare == "" {
+		return 0
 	}
+	base, err := loadReport(*compare)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchjson: loading baseline:", err)
+		return 1
+	}
+	lines, failures := compareReports(base, rep, *tolerance)
+	fmt.Fprintf(stderr, "benchjson: comparing %d rows/s benchmarks against %s (tolerance %.0f%%)\n",
+		len(lines), *compare, 100**tolerance)
+	for _, l := range lines {
+		fmt.Fprintln(stderr, "  "+l)
+	}
+	if len(failures) > 0 {
+		fmt.Fprintf(stderr, "benchjson: %d regression(s):\n", len(failures))
+		for _, f := range failures {
+			fmt.Fprintln(stderr, "  "+f)
+		}
+		return 1
+	}
+	fmt.Fprintln(stderr, "benchjson: no regressions")
+	return 0
 }

@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -40,26 +41,37 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole shell: it parses args (a bad flag exits, as with the
+// global flag set), opens the engine, and answers the lines read from in
+// until \quit or end of input, printing to out. It returns an error when the
+// engine cannot be set up or in cannot be read.
+func run(args []string, in io.Reader, out io.Writer) error {
+	fs := flag.NewFlagSet("kwsearch", flag.ExitOnError)
 	var (
-		dataset = flag.String("dataset", "university",
+		dataset = fs.String("dataset", "university",
 			"university | fig2 | enrolment | tpch | tpch-denorm | acmdl | acmdl-denorm")
-		load      = flag.String("load", "", "load a saved database directory (schema.json + CSVs) instead of -dataset")
-		k         = flag.Int("k", 3, "number of interpretations to show")
-		small     = flag.Bool("small", false, "use the small dataset scale")
-		traceOn   = flag.Bool("trace", false, "print the per-stage duration breakdown after each query")
-		chaosSpec = flag.String("chaos", "",
+		load      = fs.String("load", "", "load a saved database directory (schema.json + CSVs) instead of -dataset")
+		k         = fs.Int("k", 3, "number of interpretations to show")
+		small     = fs.Bool("small", false, "use the small dataset scale")
+		traceOn   = fs.Bool("trace", false, "print the per-stage duration breakdown after each query")
+		chaosSpec = fs.String("chaos", "",
 			`fault injection spec, e.g. "rate=0.1,seed=7,latency=5ms" (empty disables)`)
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: never returns an error
 
 	cinj, err := chaos.Parse(*chaosSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var opts *kwagg.Options
 	if cinj != nil {
 		opts = &kwagg.Options{Chaos: cinj}
-		fmt.Printf("chaos enabled: %s\n", *chaosSpec)
+		fmt.Fprintf(out, "chaos enabled: %s\n", *chaosSpec)
 	}
 	var eng *kwagg.Engine
 	if *load != "" {
@@ -73,65 +85,65 @@ func main() {
 		eng, err = kwagg.OpenDatasetOpts(*dataset, *small, opts)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("kwsearch over %q (unnormalized: %v). Type a keyword query, or \\schema, \\quit.\n",
+	fmt.Fprintf(out, "kwsearch over %q (unnormalized: %v). Type a keyword query, or \\schema, \\quit.\n",
 		*dataset, eng.Unnormalized())
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(out, "> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "":
 		case line == `\quit` || line == `\q`:
-			return
+			return nil
 		case line == `\schema`:
-			fmt.Println(eng.SchemaGraph())
+			fmt.Fprintln(out, eng.SchemaGraph())
 		case line == `\dot`:
-			fmt.Println(eng.SchemaDot())
+			fmt.Fprintln(out, eng.SchemaDot())
 		case strings.HasPrefix(line, `\explain `):
-			out, err := eng.Explain(strings.TrimSpace(line[9:]), 0)
+			text, err := eng.Explain(strings.TrimSpace(line[9:]), 0)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				break
 			}
-			fmt.Println(out)
+			fmt.Fprintln(out, text)
 		case strings.HasPrefix(line, `\pattern `):
-			out, err := eng.PatternDot(strings.TrimSpace(line[9:]), 0)
+			text, err := eng.PatternDot(strings.TrimSpace(line[9:]), 0)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				break
 			}
-			fmt.Println(out)
+			fmt.Fprintln(out, text)
 		case strings.HasPrefix(line, `\k `):
 			if n, err := strconv.Atoi(strings.TrimSpace(line[3:])); err == nil && n > 0 {
 				*k = n
 			}
 		case line == `\trace`:
 			*traceOn = !*traceOn
-			fmt.Printf("trace: %v\n", *traceOn)
+			fmt.Fprintf(out, "trace: %v\n", *traceOn)
 		case strings.HasPrefix(line, `\sqak `):
 			res, sql, err := eng.SQAKAnswer(strings.TrimSpace(line[6:]))
 			if err != nil {
-				fmt.Println("SQAK:", err)
+				fmt.Fprintln(out, "SQAK:", err)
 				break
 			}
-			fmt.Printf("%s\n%s", sql, res)
+			fmt.Fprintf(out, "%s\n%s", sql, res)
 		case strings.HasPrefix(line, `\sql `):
 			res, err := eng.ExecuteSQL(strings.TrimSpace(line[5:]))
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				break
 			}
-			fmt.Print(res)
+			fmt.Fprint(out, res)
 		case strings.HasPrefix(line, `\plan `):
-			out, err := eng.ExplainSQLPlan(strings.TrimSpace(line[6:]))
+			text, err := eng.ExplainSQLPlan(strings.TrimSpace(line[6:]))
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				break
 			}
-			fmt.Print(out)
+			fmt.Fprint(out, text)
 		default:
 			ctx := context.Background()
 			var trace *obs.Trace
@@ -141,24 +153,25 @@ func main() {
 			set, err := eng.AnswerSetContext(ctx, line, *k)
 			trace.Finish()
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				break
 			}
 			for i, a := range set.Answers {
-				fmt.Printf("-- #%d %s\n   pattern: %s\n%s\n%s",
+				fmt.Fprintf(out, "-- #%d %s\n   pattern: %s\n%s\n%s",
 					i+1, a.Description, a.Pattern, a.PrettySQL, a.Result)
 			}
 			if set.Partial {
-				fmt.Printf("partial: %d of %d statements failed\n",
+				fmt.Fprintf(out, "partial: %d of %d statements failed\n",
 					len(set.Failed), len(set.Failed)+len(set.Answers))
 				for _, f := range set.Failed {
-					fmt.Printf("   #%d: %s\n", f.Index+1, f.Message)
+					fmt.Fprintf(out, "   #%d: %s\n", f.Index+1, f.Message)
 				}
 			}
 			if trace != nil {
-				fmt.Print(trace.Breakdown())
+				fmt.Fprint(out, trace.Breakdown())
 			}
 		}
-		fmt.Print("> ")
+		fmt.Fprint(out, "> ")
 	}
+	return sc.Err()
 }

@@ -19,9 +19,10 @@ func freezeWriteAllowed(path string) bool {
 
 // deltaSeamFuncs are the relation-package entry points of the incremental
 // epoch builder: they extend frozen storage in place (claiming the base
-// table's spare backing capacity — see relation.ExtendFrozen) and patch the
-// inverted index, which is only sound under the single-committer discipline
-// core.Live.Commit enforces with its mutex.
+// table's spare backing capacity — see relation.ExtendFrozen), and
+// ExtendFrozenDatabase patches the base database's cached inverted index
+// into the next epoch's through AppendRows. Both are only sound under the
+// single-committer discipline core.Live.Commit enforces with its mutex.
 var deltaSeamFuncs = map[string]bool{
 	"ExtendFrozen":         true,
 	"ExtendFrozenDatabase": true,
@@ -58,7 +59,9 @@ var schemaMetaFields = map[string]bool{
 // (relation.ExtendFrozen / ExtendFrozenDatabase / InvertedIndex.AppendRows)
 // outside the sanctioned allowlist (deltaSeamAllowed): those functions write
 // into frozen storage's spare capacity under a one-shot claim, which is only
-// race-free under core.Live.Commit's single-committer mutex.
+// race-free under core.Live.Commit's single-committer mutex. The database
+// owns its keyword index (relation.Database.Index), so the index is patched
+// inside ExtendFrozenDatabase and core never calls AppendRows itself.
 func FreezeWrite() *Analyzer {
 	a := &Analyzer{
 		Name: "freezewrite",

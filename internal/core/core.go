@@ -156,19 +156,9 @@ type Options struct {
 // normal form (Algorithm 1/2): if all relations are in 3NF the ORM schema
 // graph is built directly on the schema; otherwise the normalized view D' is
 // derived, the graph is built on D', and translation maps back to the stored
-// relations and rewrites the SQL.
+// relations and rewrites the SQL. A delta-built epoch arrives frozen with
+// its keyword index patched, so it pays only the schema-sized work.
 func Open(db *relation.Database, opts *Options) (*System, error) {
-	return openSystem(db, opts, nil)
-}
-
-// openSystem is Open with an optional pre-built inverted index over db (it
-// must equal relation.BuildIndex(db); nil builds one). The incremental epoch
-// commit passes the patched previous-epoch index so opening the next epoch
-// never re-tokenizes old rows; everything else about Open is unchanged — on
-// an already-frozen database (a delta-built epoch) the Freeze below is a
-// per-table no-op, so the open costs only the schema-sized work (view, ORM
-// graph, plan checker, fresh memo).
-func openSystem(db *relation.Database, opts *Options, idx *relation.InvertedIndex) (*System, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -180,24 +170,26 @@ func openSystem(db *relation.Database, opts *Options, idx *relation.InvertedInde
 	if err != nil {
 		return nil, err
 	}
+	meta, sources := db.Schemas(), map[string]string(nil)
 	if view.Changed || opts.ForceViewPipeline {
 		s.View = view
-		g, err := orm.Build(view.Schemas)
-		if err != nil {
+		meta, sources = view.Schemas, view.Sources
+		if s.Graph, err = orm.Build(meta); err != nil {
 			return nil, fmt.Errorf("core: building ORM graph over normalized view: %w", err)
 		}
-		s.Graph = g
-		s.Matcher = match.NewWithIndex(db, view.Schemas, g, view.Sources, idx)
-		s.Translator = &translate.Translator{Graph: g, Data: db, Sources: view.Sources, Rewrite: true}
+		s.Translator = &translate.Translator{Graph: s.Graph, Data: db, Sources: sources, Rewrite: true}
 	} else {
-		g, err := orm.Build(db.Schemas())
-		if err != nil {
+		if s.Graph, err = orm.Build(meta); err != nil {
 			return nil, fmt.Errorf("core: building ORM graph: %w", err)
 		}
-		s.Graph = g
-		s.Matcher = match.NewWithIndex(db, db.Schemas(), g, nil, idx)
-		s.Translator = translate.New(g, db)
+		s.Translator = translate.New(s.Graph, db)
 	}
+	// Freeze only now that nothing left can fail, so a failed Open leaves
+	// the database insertable. Value indexes and dictionaries are built here,
+	// so queries never mutate shared state (the thread-safety contract of
+	// System), and the matcher caches the keyword index on the database.
+	db.Freeze()
+	s.Matcher = match.New(db, meta, s.Graph, sources)
 	s.Generator = pattern.NewGenerator(s.Matcher)
 	s.Workers = opts.Workers
 	s.Chaos = opts.Chaos
@@ -207,11 +199,6 @@ func openSystem(db *relation.Database, opts *Options, idx *relation.InvertedInde
 	s.VerifyPlans = opts.VerifyPlans
 	s.Shards = opts.Shards
 	s.Backend = opts.Backend
-	// Freeze the stored data: later inserts are rejected, and every
-	// per-table value index and column dictionary is built now so query
-	// execution never mutates shared state (the thread-safety contract of
-	// System).
-	db.Freeze()
 	if opts.MemoCells >= 0 {
 		cells := opts.MemoCells
 		if cells == 0 {

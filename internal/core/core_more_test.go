@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kwagg/internal/dataset/university"
+	"kwagg/internal/planck"
 	"kwagg/internal/relation"
 )
 
@@ -13,6 +14,10 @@ func TestOpenRejectsInvalidSchema(t *testing.T) {
 	db.AddSchema(relation.NewSchema("T", "a").Key("missing"))
 	if _, err := Open(db, nil); err == nil {
 		t.Error("invalid schema should be rejected at Open")
+	}
+	// A failed Open leaves the database unfrozen, so it can be repaired.
+	if err := db.Table("T").Insert(relation.Tuple{"x"}); err != nil || db.Frozen() {
+		t.Errorf("after a failed Open: insert err=%v, frozen=%v", err, db.Frozen())
 	}
 }
 
@@ -241,5 +246,50 @@ func TestFigure2MoreQueries(t *testing.T) {
 	}
 	if n := rows[0][len(rows[0])-1].(int64); n != 2 {
 		t.Errorf("two lecturers in Engineering, got %d\nSQL: %s", n, as[0].SQL)
+	}
+}
+
+// TestCheckPlans pins the plan verifier seam behind `kwlint -plans`: every
+// interpretation's plan is checked and its findings are returned, not
+// raised — clean plans give none, plans checked against a schema they were
+// not generated for give one per interpretation — while queries that cannot
+// be interpreted fail as they do in Answer.
+func TestCheckPlans(t *testing.T) {
+	s, err := Open(university.NewDenormalizedLecturer(),
+		&Options{NameHints: university.DenormalizedLecturerHints()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"Engineering COUNT Department", "COUNT Lecturer GROUPBY Faculty"}
+	for _, q := range queries {
+		if fs, err := s.CheckPlans(q, 0); err != nil || len(fs) != 0 {
+			t.Errorf("CheckPlans(%q) = %v, %v; want no findings", q, fs, err)
+		}
+	}
+	// Figure 1's Lecturer has no Fid column, which both plans read from the
+	// Figure 2 Lecturer relation.
+	s.Plan = planck.New(university.New())
+	for _, q := range queries {
+		ins, err := s.Interpret(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := s.CheckPlans(q, 0)
+		if err != nil || len(fs) != len(ins) {
+			t.Fatalf("CheckPlans(%q) against Figure 1 = %v, %v; want one finding for each of %d plans", q, fs, err, len(ins))
+		}
+		for _, f := range fs {
+			if f.Rule != "join-key-coverage" || !strings.Contains(f.Detail, "Fid") {
+				t.Errorf("CheckPlans(%q): finding %s: %s; want join-key-coverage on Fid", q, f.Rule, f.Detail)
+			}
+		}
+		if one, err := s.CheckPlans(q, 1); err != nil || len(one) != 1 {
+			t.Errorf("CheckPlans(%q, 1) = %v, %v; want the top plan's finding only", q, one, err)
+		}
+	}
+	for _, q := range []string{"COUNT", "zzzqqq COUNT Lecturer"} {
+		if fs, err := s.CheckPlans(q, 0); err == nil {
+			t.Errorf("CheckPlans(%q) = %v, want an error", q, fs)
+		}
 	}
 }

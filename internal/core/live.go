@@ -218,22 +218,14 @@ func (l *Live) Commit(ctx context.Context) (uint64, error) {
 }
 
 // buildDelta opens the next epoch over the incrementally extended database:
-// the frozen tables grow in place (relation.ExtendFrozenDatabase), the
-// inverted index is patched with only the new rows, and openSystem redoes
-// just the schema-sized work. l.mu must be held.
+// the frozen tables grow in place and the keyword index is patched with only
+// the new rows (relation.ExtendFrozenDatabase), and Open redoes just the
+// schema-sized work. l.mu must be held.
 func (l *Live) buildDelta(old *System) (*System, relation.DeltaStats, error) {
-	prev := make(map[string]int)
-	for _, t := range old.Data.Tables() {
-		prev[strings.ToLower(t.Schema.Name)] = t.Len()
-	}
 	next, stats, err := relation.ExtendFrozenDatabase(old.Data, l.buf)
 	if err != nil {
 		return nil, stats, err
 	}
-	idx, _ := old.Matcher.Index().AppendRows(next, prev)
-	sys, err := openSystem(next, l.opts, idx)
-	if err != nil {
-		return nil, stats, err
-	}
-	return sys, stats, nil
+	sys, err := Open(next, l.opts)
+	return sys, stats, err
 }

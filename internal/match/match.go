@@ -81,29 +81,18 @@ type Matcher struct {
 
 // New creates a matcher. meta lists the schemas terms are matched against
 // (the schemas the ORM graph g was built from); data holds the stored
-// tuples. sources maps each meta relation to the data relation its tuples
-// are projected from — pass nil when meta and data relations coincide
+// tuples, and its inverted index (data.Index()) answers value terms.
+// sources maps each meta relation to the data relation its tuples are
+// projected from — pass nil when meta and data relations coincide
 // (normalized databases).
 func New(data *relation.Database, meta []*relation.Schema, g *orm.Graph, sources map[string]string) *Matcher {
-	return NewWithIndex(data, meta, g, sources, nil)
-}
-
-// NewWithIndex is New with a pre-built inverted index over data — the
-// incremental epoch commit patches the previous epoch's index with only the
-// new rows (relation.InvertedIndex.AppendRows) instead of re-tokenizing
-// every stored value. idx must equal relation.BuildIndex(data); pass nil to
-// build it here.
-func NewWithIndex(data *relation.Database, meta []*relation.Schema, g *orm.Graph, sources map[string]string, idx *relation.InvertedIndex) *Matcher {
-	if idx == nil {
-		idx = relation.BuildIndex(data)
-	}
 	m := &Matcher{
 		data:    data,
 		meta:    meta,
 		graph:   g,
 		sources: make(map[string]string),
 		byData:  make(map[string][]*relation.Schema),
-		idx:     idx,
+		idx:     data.Index(),
 	}
 	for _, s := range meta {
 		src := s.Name
@@ -120,11 +109,6 @@ func NewWithIndex(data *relation.Database, meta []*relation.Schema, g *orm.Graph
 
 // Graph returns the ORM graph the matcher resolves nodes against.
 func (m *Matcher) Graph() *orm.Graph { return m.graph }
-
-// Index returns the inverted keyword index the matcher answers value terms
-// from; the live-ingest commit path reads it to patch the next epoch's index
-// incrementally. Immutable — read only.
-func (m *Matcher) Index() *relation.InvertedIndex { return m.idx }
 
 // Data returns the database holding the stored tuples.
 func (m *Matcher) Data() *relation.Database { return m.data }

@@ -250,25 +250,27 @@ func TestComponentRelationMatching(t *testing.T) {
 	}
 }
 
-// TestNewWithIndexReusesIndex pins the epoch-reopen seam: a Matcher built
-// around an existing inverted index (as core.openSystem does after an
-// incremental commit) serves it back via Index and matches through it, and
-// a nil index falls back to a fresh BuildIndex.
+// TestNewWithIndexReusesIndex pins the epoch-reopen seam: a Matcher over a
+// frozen database matches through the database's own cached index
+// (relation.Database.Index, which an incremental commit patches instead of
+// rebuilding), while one over an unfrozen database, whose rows can still
+// change, gets a private fresh index.
 func TestNewWithIndexReusesIndex(t *testing.T) {
 	db := university.New()
 	g, err := orm.Build(db.Schemas())
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := relation.BuildIndex(db)
-	m := NewWithIndex(db, db.Schemas(), g, nil, idx)
-	if m.Index() != idx {
-		t.Fatal("NewWithIndex did not retain the supplied index")
+	if m := New(db, db.Schemas(), g, nil); m.idx == nil || m.idx == db.Index() {
+		t.Fatal("matcher over an unfrozen database did not get a private index")
+	}
+	db.Freeze()
+	idx := db.Index()
+	m := New(db, db.Schemas(), g, nil)
+	if m.idx != idx {
+		t.Fatal("matcher over a frozen database did not reuse its cached index")
 	}
 	if got := kinds(m.Match(basic("Green")))[Value]; got == 0 {
-		t.Fatal("matcher with a supplied index found no value match for Green")
-	}
-	if fresh := uniMatcher(t).Index(); fresh == nil {
-		t.Fatal("nil-index construction left Index nil")
+		t.Fatal("matcher over the cached index found no value match for Green")
 	}
 }

@@ -26,10 +26,7 @@
 // the differential suites pin this.
 package relation
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // DeltaStats summarizes what one incremental freeze reused versus rebuilt;
 // core.Live feeds them into the kwagg_epoch_* metrics.
@@ -64,7 +61,8 @@ func (s *DeltaStats) add(o DeltaStats) {
 // ExtendFrozenDatabase builds the next epoch's database from a frozen base
 // plus per-table new rows (keyed by lower-cased table name, in ingest
 // order). Tables without new rows are shared by pointer; the rest are
-// extended via ExtendFrozen. The base is never modified in a way its
+// extended via ExtendFrozen; base's keyword index, if built (Database.Index),
+// is patched with only the new rows. The base is never modified in a way its
 // concurrent readers can observe. Unknown table names error.
 func ExtendFrozenDatabase(base *Database, rows map[string][]Tuple) (*Database, DeltaStats, error) {
 	var stats DeltaStats
@@ -74,13 +72,21 @@ func ExtendFrozenDatabase(base *Database, rows map[string][]Tuple) (*Database, D
 		}
 	}
 	next := NewDatabase(base.Name)
-	for _, t := range base.Tables() {
-		nt, st, err := ExtendFrozen(t, rows[strings.ToLower(t.Schema.Name)])
+	from := make(map[string]int, len(base.order))
+	for _, key := range base.order {
+		t := base.tables[key]
+		from[key] = t.Len()
+		nt, st, err := ExtendFrozen(t, rows[key])
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.add(st)
 		next.Add(nt)
+	}
+	base.idxMu.Lock()
+	defer base.idxMu.Unlock()
+	if base.idx != nil {
+		next.idx, _ = base.idx.AppendRows(next, from)
 	}
 	return next, stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -279,50 +280,137 @@ func TestExtendFrozenDatabaseSharesUnchangedTables(t *testing.T) {
 	}
 }
 
+// indexDB builds an unfrozen two-table database whose string tokens
+// overlap across tables: "item" and "alpha<k>" occur in both Item and
+// Other, so merged posting lists interleave them.
+func indexDB(t *testing.T, n1, n2 int) *Database {
+	t.Helper()
+	db := NewDatabase("d")
+	t1 := NewTable(deltaSchema())
+	if err := t1.AppendShared(deltaRows(0, n1)); err != nil {
+		t.Fatal(err)
+	}
+	t2 := NewTable(NewSchema("Other", "Oid INT", "Label").Key("Oid"))
+	for i := 0; i < n2; i++ {
+		t2.MustInsert(int64(i), fmt.Sprintf("item alpha%d other%d", i%13, i))
+	}
+	db.Add(t1)
+	db.Add(t2)
+	return db
+}
+
+// requireIndexEqual fails unless got and want hold the same postings in the
+// same order.
+func requireIndexEqual(t *testing.T, got, want *InvertedIndex) {
+	t.Helper()
+	if reflect.DeepEqual(got.postings, want.postings) {
+		return
+	}
+	for tok, ps := range want.postings {
+		if !reflect.DeepEqual(got.postings[tok], ps) {
+			t.Fatalf("token %q: got %v, want %v", tok, got.postings[tok], ps)
+		}
+	}
+	for tok := range got.postings {
+		if _, ok := want.postings[tok]; !ok {
+			t.Fatalf("token %q present in the patched index only", tok)
+		}
+	}
+}
+
 // The patched inverted index must equal a from-scratch BuildIndex — same
 // postings in the same order — including tokens that span old and new rows
 // of different tables.
 func TestAppendRowsMatchesBuildIndex(t *testing.T) {
-	build := func(n1, n2 int) *Database {
-		db := NewDatabase("d")
-		t1 := NewTable(deltaSchema())
-		if err := t1.AppendShared(deltaRows(0, n1)); err != nil {
-			t.Fatal(err)
-		}
-		t2 := NewTable(NewSchema("Other", "Oid INT", "Label").Key("Oid"))
-		for i := 0; i < n2; i++ {
-			// "item" and "alpha<k>" overlap table Item's tokens, so merged
-			// posting lists interleave both tables.
-			t2.MustInsert(int64(i), fmt.Sprintf("item alpha%d other%d", i%13, i))
-		}
-		db.Add(t1)
-		db.Add(t2)
-		return db
-	}
-	prefix := build(120, 40)
-	prefixIdx := BuildIndex(prefix)
-	full := build(180, 70)
+	prefixIdx := BuildIndex(indexDB(t, 120, 40))
+	full := indexDB(t, 180, 70)
 	patched, touched := prefixIdx.AppendRows(full, map[string]int{"item": 120, "other": 40})
 	if touched == 0 {
 		t.Fatal("expected touched posting lists")
 	}
 	want := BuildIndex(full)
-	if !reflect.DeepEqual(patched.postings, want.postings) {
-		for tok, ps := range want.postings {
-			if !reflect.DeepEqual(patched.postings[tok], ps) {
-				t.Fatalf("token %q: got %v, want %v", tok, patched.postings[tok], ps)
-			}
-		}
-		for tok := range patched.postings {
-			if _, ok := want.postings[tok]; !ok {
-				t.Fatalf("token %q present in patched index only", tok)
-			}
-		}
-	}
+	requireIndexEqual(t, patched, want)
 	// Patching with nothing new returns the index itself.
 	same, touched := want.AppendRows(full, map[string]int{"item": 180, "other": 70})
 	if same != want || touched != 0 {
 		t.Fatalf("no-op AppendRows: got (%p,%d), want (%p,0)", same, touched, want)
+	}
+}
+
+// ExtendFrozenDatabase carries a built keyword index into the next epoch,
+// patched with only the new rows, and leaves an unbuilt one unbuilt (so an
+// epoch chain nobody matches against never pays for tokenizing).
+func TestExtendFrozenDatabaseCarriesIndex(t *testing.T) {
+	base, full := indexDB(t, 120, 40), indexDB(t, 180, 70)
+	base.Freeze()
+	add := map[string][]Tuple{
+		"item":  full.Table("Item").Tuples[120:],
+		"other": full.Table("Other").Tuples[40:],
+	}
+	unindexed, _, err := ExtendFrozenDatabase(base, add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unindexed.idx != nil {
+		t.Fatal("extending an unindexed base built an index")
+	}
+	baseIdx := base.Index()
+	next, _, err := ExtendFrozenDatabase(base, add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried := next.idx
+	if carried == nil || next.Index() != carried {
+		t.Fatal("the base's built index was not carried into the next epoch")
+	}
+	requireIndexEqual(t, carried, BuildIndex(full))
+	requireIndexEqual(t, base.Index(), BuildIndex(indexDB(t, 120, 40)))
+	if base.Index() != baseIdx {
+		t.Fatal("extension replaced the base's cached index")
+	}
+	same, _, err := ExtendFrozenDatabase(next, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Index() != carried {
+		t.Fatal("an epoch with no new rows did not share its base's index")
+	}
+}
+
+// Database.Index builds a frozen database's index once, under concurrent
+// first calls, and caches it; an unfrozen database gets a fresh index per
+// call, and registering a table drops the cached one.
+func TestDatabaseIndexConcurrent(t *testing.T) {
+	db := indexDB(t, 300, 90)
+	if a, b := db.Index(), db.Index(); a == b {
+		t.Fatal("an unfrozen database cached its index")
+	}
+	db.Freeze()
+	got := make([]*InvertedIndex, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = db.Index()
+		}()
+	}
+	wg.Wait()
+	for i, idx := range got {
+		if idx != got[0] {
+			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p", i, idx, got[0])
+		}
+	}
+	requireIndexEqual(t, got[0], BuildIndex(db))
+	if db.Index() != got[0] {
+		t.Fatal("a later call rebuilt the cached index")
+	}
+	extra := NewTable(NewSchema("Extra", "Eid INT", "Note").Key("Eid"))
+	extra.MustInsert(int64(1), "item zeta")
+	extra.Freeze()
+	db.Add(extra)
+	if idx := db.Index(); idx == got[0] || len(idx.LookupToken("zeta")) != 1 {
+		t.Fatal("Add kept serving the index cached before the new table")
 	}
 }
 

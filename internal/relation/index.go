@@ -37,7 +37,8 @@ func Tokenize(s string) []string {
 }
 
 // BuildIndex scans every string-typed attribute of every table in db and
-// builds the inverted index over their tokens.
+// builds the inverted index over their tokens. Readers of a frozen database
+// use Database.Index, which builds it once and caches it.
 func BuildIndex(db *Database) *InvertedIndex {
 	idx := &InvertedIndex{postings: make(map[string][]Posting)}
 	for _, t := range db.Tables() {

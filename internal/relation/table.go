@@ -272,6 +272,9 @@ type Database struct {
 	Name   string
 	tables map[string]*Table
 	order  []string
+
+	idxMu sync.Mutex     // guards idx
+	idx   *InvertedIndex // a frozen database's cached keyword index (see Index)
 }
 
 // NewDatabase creates an empty database.
@@ -286,6 +289,7 @@ func (db *Database) Add(t *Table) {
 		db.order = append(db.order, key)
 	}
 	db.tables[key] = t
+	db.idx = nil
 }
 
 // AddSchema registers an empty table for the schema and returns it.
@@ -326,6 +330,23 @@ func (db *Database) Freeze() {
 	for _, t := range db.Tables() {
 		t.Freeze()
 	}
+}
+
+// Index returns the inverted keyword index over the database's string
+// values. A frozen database builds it once and caches it, so the matcher and
+// the SQAK baseline share one index per epoch (ExtendFrozenDatabase carries
+// it forward); an unfrozen one, whose rows can still change, builds afresh
+// per call. Safe for concurrent use once frozen; the index is read only.
+func (db *Database) Index() *InvertedIndex {
+	if !db.Frozen() {
+		return BuildIndex(db)
+	}
+	db.idxMu.Lock()
+	defer db.idxMu.Unlock()
+	if db.idx == nil {
+		db.idx = BuildIndex(db)
+	}
+	return db.idx
 }
 
 // Frozen reports whether the database has been frozen.

@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -204,7 +205,8 @@ func Literal(v Value) string {
 }
 
 // Coerce parses the string s into a Value of type t. An empty string becomes
-// NULL for every type except TypeString.
+// NULL for the numeric types. NaN and ±Inf are rejected: Compare cannot
+// order NaN, and SQL has no literal for either.
 func Coerce(s string, t Type) (Value, error) {
 	switch t {
 	case TypeString, TypeDate:
@@ -225,6 +227,9 @@ func Coerce(s string, t Type) (Value, error) {
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return nil, fmt.Errorf("relation: %q is not a number: %w", s, err)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("relation: %q is not a finite number", s)
 		}
 		return f, nil
 	default:

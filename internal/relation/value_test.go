@@ -134,6 +134,13 @@ func TestCoerce(t *testing.T) {
 	if _, err = Coerce("1.2.3", TypeFloat); err == nil {
 		t.Error("Coerce should reject malformed FLOAT")
 	}
+	// Non-finite floats parse but have no total order under Compare (NaN)
+	// and no SQL literal, so the input boundary rejects them.
+	for _, s := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-Infinity", "1e400"} {
+		if v, err := Coerce(s, TypeFloat); err == nil {
+			t.Errorf("Coerce(%q, FLOAT) = %v, want an error", s, v)
+		}
+	}
 }
 
 func TestCoerceFormatRoundTrip(t *testing.T) {

@@ -49,9 +49,10 @@ type edge struct {
 	attrs [][2]string // join attribute pairs [fromAttr, toAttr]
 }
 
-// New builds the SQAK schema graph for db.
+// New builds the SQAK schema graph for db; value terms are matched through
+// db.Index(), the index the engine's own matcher shares once db is frozen.
 func New(db *relation.Database) *System {
-	s := &System{db: db, idx: relation.BuildIndex(db), adj: make(map[string][]edge)}
+	s := &System{db: db, idx: db.Index(), adj: make(map[string][]edge)}
 	for _, t := range db.Tables() {
 		for _, fk := range t.Schema.ForeignKeys {
 			pairs := make([][2]string, len(fk.Attrs))

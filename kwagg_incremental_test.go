@@ -16,6 +16,7 @@ import (
 	"kwagg/internal/dataset/university"
 	"kwagg/internal/leakcheck"
 	"kwagg/internal/relation"
+	"kwagg/internal/sqak"
 )
 
 // incrementalCommits is how many consecutive Commit epochs the differential
@@ -90,6 +91,17 @@ func systemAnswer(t *testing.T, s *core.System, query string) string {
 	return b.String()
 }
 
+// sqakAnswer renders the SQAK baseline's answer to query — its SQL, then
+// the result rows — as one string; a refusal or failure renders as its
+// error text, which must match byte for byte too.
+func sqakAnswer(s *sqak.System, query string) string {
+	res, sql, err := s.Answer(query)
+	if err != nil {
+		return "error: " + err.Error() + "\n"
+	}
+	return sql.String() + "\n" + res.String() + "\n"
+}
+
 // ingestChunk feeds every table's k-th row chunk into the live engine at
 // tuple fidelity (typed values and NULLs survive verbatim).
 func ingestChunk(t *testing.T, live *core.Live, db *relation.Database, k int) {
@@ -110,6 +122,9 @@ func ingestChunk(t *testing.T, live *core.Live, db *relation.Database, k int) {
 // a row prefix through incrementalCommits consecutive Commit epochs must
 // answer every DatasetWorkloads query byte-identically to a from-scratch
 // core.Open of the same rows — after every single commit, not just the last.
+// The SQAK baseline over each epoch's data, which matches value terms
+// through the index the commit patched, must likewise equal SQAK over the
+// from-scratch database.
 func TestIncrementalCommitMatchesFullOpen(t *testing.T) {
 	for name, queries := range kwagg.DatasetWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -129,10 +144,16 @@ func TestIncrementalCommitMatchesFullOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				liveSQAK, truthSQAK := sqak.New(live.System().Data), sqak.New(truth.Data)
 				for _, q := range queries {
 					want := systemAnswer(t, truth, q)
 					if got := systemAnswer(t, live.System(), q); got != want {
 						t.Fatalf("commit %d query %q: incremental epoch diverged from full open:\nwant:\n%s\ngot:\n%s",
+							k, q, want, got)
+					}
+					want = sqakAnswer(truthSQAK, q)
+					if got := sqakAnswer(liveSQAK, q); got != want {
+						t.Fatalf("commit %d query %q: SQAK over the incremental epoch diverged from full open:\nwant:\n%s\ngot:\n%s",
 							k, q, want, got)
 					}
 				}

@@ -25,6 +25,10 @@ func TestLiveEngineEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	beforeSQAK, _, err := eng.SQAKAnswer(query)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A third Green student enrolled in Database changes the SUM.
 	if _, err := eng.Ingest("Student", [][]string{{"s9", "Green", "23"}}); err != nil {
@@ -79,6 +83,18 @@ func TestLiveEngineEpochs(t *testing.T) {
 	res, err := eng.ExecuteSQL("SELECT S.Sname FROM Student S WHERE S.Sid = 's9'")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "Green" {
 		t.Fatalf("ExecuteSQL on epoch 1: %v %+v", err, res)
+	}
+	wantSQAK, wantSQL, err := frozen.SQAKAnswer(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSQAK, gotSQL, err := eng.SQAKAnswer(query)
+	if err != nil || gotSQL != wantSQL || !reflect.DeepEqual(gotSQAK, wantSQAK) {
+		t.Fatalf("SQAKAnswer on epoch 1 diverged from the frozen equivalent: %v\nwant %s %+v\ngot  %s %+v",
+			err, wantSQL, wantSQAK, gotSQL, gotSQAK)
+	}
+	if reflect.DeepEqual(gotSQAK, beforeSQAK) {
+		t.Fatalf("SQAKAnswer on epoch 1 still reads epoch 0: %+v", gotSQAK)
 	}
 }
 

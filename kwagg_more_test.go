@@ -1,6 +1,7 @@
 package kwagg_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +159,46 @@ func TestOpenDataset(t *testing.T) {
 		}
 	}
 	if _, err := kwagg.OpenDataset("nosuch", true); err == nil {
+		t.Error("unknown dataset should fail")
+	}
+}
+
+// TestOpenDatasetLive opens a bundled unnormalized dataset for live ingest:
+// its view names apply as in OpenDataset, the bundled rows are epoch 0, and
+// a committed row reaches the next answer through the normalized view.
+func TestOpenDatasetLive(t *testing.T) {
+	eng, err := kwagg.OpenDatasetLive("fig2", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Live() || !eng.Unnormalized() || eng.Epoch() != 0 {
+		t.Fatalf("fig2 live engine: live=%v unnormalized=%v epoch=%d", eng.Live(), eng.Unnormalized(), eng.Epoch())
+	}
+	lecturers := func() string {
+		t.Helper()
+		as, err := eng.Answer("COUNT Lecturer GROUPBY Faculty", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := as[0].Result.Rows
+		if len(rows) != 1 {
+			t.Fatalf("one faculty expected: %v\nSQL: %s", rows, as[0].SQL)
+		}
+		return rows[0][len(rows[0])-1]
+	}
+	if n := lecturers(); n != "2" {
+		t.Fatalf("epoch 0: %s lecturers in Engineering, want 2", n)
+	}
+	if _, err := eng.Ingest("Lecturer", [][]string{{"l3", "Ada", "d1", "f1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if ep, err := eng.CommitEpoch(context.Background()); err != nil || ep != 1 {
+		t.Fatalf("CommitEpoch = %d, %v", ep, err)
+	}
+	if n := lecturers(); n != "3" {
+		t.Fatalf("epoch 1: %s lecturers in Engineering, want 3", n)
+	}
+	if _, err := kwagg.OpenDatasetLive("nosuch", true, nil); err == nil {
 		t.Error("unknown dataset should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package kwagg_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,6 +67,37 @@ func TestCreateTableValidation(t *testing.T) {
 	}
 	if err := db.Insert("nosuch", "a"); err == nil {
 		t.Error("insert into unknown table should fail")
+	}
+
+	// Non-finite floats are rejected at the input boundary, by Insert and by
+	// a live engine's Ingest (whole batch), so ORDER BY keeps a total order
+	// and SUM stays finite.
+	db = kwagg.NewDB("floats")
+	db.MustCreateTable(kwagg.TableSpec{
+		Name: "T", Columns: []kwagg.Column{"Id", "X FLOAT"}, PrimaryKey: []string{"Id"},
+	})
+	for _, r := range [][]string{{"t1", "7"}, {"t2", "NaN"}, {"t3", "5"}} {
+		if err := db.Insert("T", r...); (err != nil) != (r[1] == "NaN") {
+			t.Errorf("Insert %v: %v", r, err)
+		}
+	}
+	eng, err := kwagg.OpenLive(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.ExecuteSQL("SELECT T.Id, T.X FROM T T ORDER BY T.X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[t3 5] [t1 7]]" {
+		t.Errorf("ORDER BY T.X = %s, want [[t3 5] [t1 7]]", got)
+	}
+	res, err = eng.ExecuteSQL("SELECT SUM(T.X) AS s FROM T T")
+	if err != nil || fmt.Sprint(res.Rows) != "[[12]]" {
+		t.Errorf("SUM(T.X) = %v, %v; want [[12]]", res, err)
+	}
+	if _, err := eng.Ingest("T", [][]string{{"t4", "1"}, {"t5", "-Inf"}}); err == nil || eng.PendingRows() != 0 {
+		t.Errorf("Ingest of a -Inf row: err=%v pending=%d, want the whole batch rejected", err, eng.PendingRows())
 	}
 }
 
