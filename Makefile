@@ -65,9 +65,11 @@ test-backend:
 # of every dataset workload (engine and SQAK baseline) on an engine built via
 # K incremental commits against one full core.Open — byte-identical answers
 # required throughout, including under chaos injection mid-query — plus the
-# one-index-per-epoch identity check.
+# one-index-per-epoch identity check and the matcher differential (every
+# workload term's tags and object counts against a row-scan reference, on
+# the frozen database and after each of 3 incremental commits).
 test-incremental:
-	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DatabaseIndex|OneIndexPerEpoch|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch' . ./internal/relation/ ./internal/core/
+	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DatabaseIndex|OneIndexPerEpoch|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch|MatcherDifferential' . ./internal/relation/ ./internal/core/ ./internal/match/
 
 # Short fuzzing pass over every fuzz target (~6 minutes total); the nightly
 # workflow runs this, and `go test ./...` always replays the committed seed

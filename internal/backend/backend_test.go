@@ -3,6 +3,7 @@ package backend_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,8 @@ import (
 
 // cornerDB builds a tiny database with the values that historically break
 // naive escaping, NULL handling and equality: NULL beside the string
-// "NULL", 0 beside -0, and two integers a float64 cannot tell apart.
+// "NULL", 0 beside -0, two integers a float64 cannot tell apart, and
+// non-ASCII letters that only a Unicode case fold would equate.
 func cornerDB() *relation.Database {
 	db := relation.NewDatabase("corner")
 	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Qty INT", "Price FLOAT").Key("Id"))
@@ -29,6 +31,12 @@ func cornerDB() *relation.Database {
 	big := db.AddSchema(relation.NewSchema("T", "Id", "X INT").Key("Id"))
 	big.MustInsert("t1", int64(1<<53+1)) // first: an order-keeping float64 compare keeps it first
 	big.MustInsert("t2", int64(1<<53))
+	// Non-ASCII text, where CONTAINS folds only ASCII letters on both
+	// engines; repeated names put the column on the per-entry kernel.
+	place := db.AddSchema(relation.NewSchema("Place", "Id", "Name").Key("Id"))
+	for i, name := range []string{"ÉCOLE", "école", "xÉCOLEy", "İ", "école", "ÉCOLE"} {
+		place.MustInsert(fmt.Sprintf("p%d", i+1), name)
+	}
 	db.Freeze()
 	return db
 }

@@ -169,8 +169,8 @@ func TestDifferentialSQLiteDatasetWorkloads(t *testing.T) {
 }
 
 // TestDifferentialSQLiteCorners runs the hand-built NULL / "NULL" / float /
-// large-integer corner rows through the external oracle too. Statements
-// with ORDER BY (total on these rows) are compared in order.
+// large-integer / non-ASCII corner rows through the external oracle too.
+// Statements with ORDER BY (total on these rows) are compared in order.
 func TestDifferentialSQLiteCorners(t *testing.T) {
 	if !sqlitecli.Available() {
 		t.Skip("sqlite3 binary not on PATH")
@@ -199,6 +199,12 @@ func TestDifferentialSQLiteCorners(t *testing.T) {
 		"SELECT DISTINCT I.Qty FROM Item I",
 		"SELECT I.Id FROM Item I WHERE I.Name CONTAINS 'brien'",
 		"SELECT I.Id FROM Item I WHERE I.Name CONTAINS 'null'", // matches the string row only
+		"SELECT I.Id FROM Item I WHERE I.Name CONTAINS ''",     // every string, never NULL
+		// lower() folds ASCII only: 'ÉCOLE' does not contain 'école', and
+		// 'İ' does not contain 'i'.
+		"SELECT P.Id FROM Place P WHERE P.Name CONTAINS 'école'",
+		"SELECT P.Id FROM Place P WHERE P.Name CONTAINS 'École'",
+		"SELECT P.Id FROM Place P WHERE P.Name CONTAINS 'i'",
 		// 2^53 and 2^53+1 are distinct integers, in order and in filters
 		"SELECT T.Id, T.X FROM T ORDER BY T.X",
 		"SELECT T.Id FROM T WHERE T.X > 9007199254740992",

@@ -7,7 +7,10 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,6 +88,10 @@ type Matcher struct {
 // sources maps each meta relation to the data relation its tuples are
 // projected from — pass nil when meta and data relations coincide
 // (normalized databases).
+//
+// data must be frozen before Match is called (core.Open freezes it before
+// building the matcher): value terms are counted over the tables'
+// dictionary encodings, and Match panics on an unfrozen table.
 func New(data *relation.Database, meta []*relation.Schema, g *orm.Graph, sources map[string]string) *Matcher {
 	m := &Matcher{
 		data:    data,
@@ -164,39 +171,26 @@ func (m *Matcher) Match(t keyword.Term) []Tag {
 // valueTags finds the attributes whose stored values contain the term and
 // counts the distinct objects per (view relation, attribute).
 func (m *Matcher) valueTags(term string) []Tag {
-	postings := m.idx.LookupPhrase(m.data, term)
-	// (data relation, attr) -> rows
-	type key struct{ rel, attr string }
-	rows := make(map[key][]int)
-	var order []key
-	for _, p := range postings {
-		k := key{strings.ToLower(p.Relation), strings.ToLower(p.Attr)}
-		if _, ok := rows[k]; !ok {
-			order = append(order, k)
+	cols := m.idx.LookupPhrase(m.data, term)
+	sort.Slice(cols, func(i, j int) bool {
+		ri, rj := strings.ToLower(cols[i].Relation), strings.ToLower(cols[j].Relation)
+		if ri != rj {
+			return ri < rj
 		}
-		rows[k] = append(rows[k], p.Row)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].rel != order[j].rel {
-			return order[i].rel < order[j].rel
-		}
-		return order[i].attr < order[j].attr
+		return strings.ToLower(cols[i].Attr) < strings.ToLower(cols[j].Attr)
 	})
 	var tags []Tag
-	for _, k := range order {
-		dataTable := m.data.Table(k.rel)
-		if dataTable == nil {
-			continue
-		}
-		for _, vs := range m.byData[k.rel] {
-			if !vs.HasAttr(k.attr) {
+	for _, c := range cols {
+		for _, vs := range m.byData[strings.ToLower(c.Relation)] {
+			ai := vs.AttrIndex(c.Attr)
+			if ai < 0 {
 				continue
 			}
 			node := m.graph.NodeOfRelation(vs.Name)
 			if node == nil {
 				continue
 			}
-			attrName := vs.Attributes[vs.AttrIndex(k.attr)].Name
+			attrName := vs.Attributes[ai].Name
 			tags = append(tags, Tag{
 				Term:       term,
 				Node:       node.Name,
@@ -211,39 +205,95 @@ func (m *Matcher) valueTags(term string) []Tag {
 }
 
 // CountObjects counts the distinct objects of the (view) relation vs whose
-// attribute attr contains term, reading tuples from the relation's data
-// source; objects are told apart by their canonical primary-key values
-// (relation.AppendKey). This implements the |T| > 1 test of Algorithm 3
-// line 18.
+// attribute attr contains term, reading tuples from the relation's frozen
+// data source. "Contains" is the generated CONTAINS predicate's: a string
+// value holding term as a substring, ignoring ASCII case (so a "primrose"
+// part counts for "rose"); NULLs and values of other types never count.
+// Objects are told apart by the dictionary IDs of their primary-key values,
+// which is relation.AppendKey identity. This implements the |T| > 1 test of
+// Algorithm 3 line 18.
 func (m *Matcher) CountObjects(vs *relation.Schema, attr, term string) int {
-	dataTable := m.data.Table(m.SourceOf(vs.Name))
-	if dataTable == nil {
+	t := m.data.Table(m.SourceOf(vs.Name))
+	if t == nil {
 		return 0
 	}
-	ai := dataTable.Schema.AttrIndex(attr)
+	ai := t.Schema.AttrIndex(attr)
 	if ai < 0 {
 		return 0
 	}
-	keyIdx := make([]int, 0, len(vs.PrimaryKey))
-	for _, ka := range vs.PrimaryKey {
-		ki := dataTable.Schema.AttrIndex(ka)
-		if ki < 0 {
+	dicts, _, ok := t.Encoding()
+	if !ok {
+		panic("match: relation " + t.Schema.Name + " is not frozen")
+	}
+	keyIdx := make([]int, len(vs.PrimaryKey))
+	for i, ka := range vs.PrimaryKey {
+		if keyIdx[i] = t.Schema.AttrIndex(ka); keyIdx[i] < 0 {
 			return 0
 		}
-		keyIdx = append(keyIdx, ki)
 	}
-	seen := make(map[string]bool)
-	var key []byte
-	for _, tu := range dataTable.Tuples {
-		s, ok := tu[ai].(string)
-		if !ok || !relation.ContainsFold(s, term) {
-			continue
-		}
-		key = key[:0]
-		for _, ki := range keyIdx {
-			key = relation.AppendKey(key, tu[ki])
-		}
-		seen[string(key)] = true
+	// The term is tested once per distinct value of attr (Dict.ContainsFold),
+	// and only the rows holding a passing value are read, through the
+	// column's value index, so the cost does not grow with the rows that
+	// fail.
+	keep, strOnly := dicts[ai].ContainsFold(term), dicts[ai].AllStrings()
+	each := func(fn func(r int)) {
+		forEachID(keep, func(id uint32) {
+			for _, r := range t.LookupID(ai, id) {
+				if !strOnly {
+					if _, ok := t.Tuples[r][ai].(string); !ok {
+						continue // one ID can stand for int64(5) and "5"
+					}
+				}
+				fn(r)
+			}
+		})
 	}
-	return len(seen)
+	if len(keyIdx) == 1 {
+		// One key column: mark its IDs in a bitset over its dictionary.
+		ids := t.Col(keyIdx[0]).IDs
+		seen := make([]uint64, (dicts[keyIdx[0]].Len()+63)/64)
+		objects := 0
+		each(func(r int) {
+			if w, b := ids[r]>>6, uint64(1)<<(ids[r]&63); seen[w]&b == 0 {
+				seen[w] |= b
+				objects++
+			}
+		})
+		return objects
+	}
+	// Composite (or empty) key: sort the passing rows by their key ID tuples
+	// and count the distinct tuples.
+	n := 0
+	forEachID(keep, func(id uint32) { n += len(t.LookupID(ai, id)) })
+	rows := make([]int, 0, n)
+	each(func(r int) { rows = append(rows, r) })
+	keys := make([][]uint32, len(keyIdx))
+	for i, ki := range keyIdx {
+		keys[i] = t.Col(ki).IDs
+	}
+	cmpKeys := func(a, b int) int {
+		for _, ids := range keys {
+			if c := cmp.Compare(ids[a], ids[b]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	slices.SortFunc(rows, cmpKeys)
+	objects := 0
+	for i, r := range rows {
+		if i == 0 || cmpKeys(rows[i-1], r) != 0 {
+			objects++
+		}
+	}
+	return objects
+}
+
+// forEachID calls fn with every ID whose bit is set, in ascending order.
+func forEachID(set []uint64, fn func(id uint32)) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			fn(uint32(w*64 + bits.TrailingZeros64(word)))
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package match
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"kwagg/internal/dataset/university"
@@ -17,6 +20,7 @@ func uniMatcher(t *testing.T) *Matcher {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	return New(db, db.Schemas(), g, nil)
 }
 
@@ -153,6 +157,7 @@ func TestCountObjectsCompositeKeySeparator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	m := New(db, db.Schemas(), g, nil)
 	if n := m.CountObjects(r.Schema, "Note", "green"); n != 2 {
 		t.Errorf("keys (\"a\\x1fb\",\"c\") and (\"a\",\"b\\x1fc\") counted as %d objects, want 2", n)
@@ -172,6 +177,7 @@ func TestMatchUnnormalizedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	m := New(db, view.Schemas, g, view.Sources)
 
 	// Metadata terms match the view relation names (Student, Course, Enrol).
@@ -219,6 +225,7 @@ func TestComponentRelationMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	m := New(db, db.Schemas(), g, nil)
 
 	// The component relation name maps to the owner node.
@@ -273,4 +280,118 @@ func TestNewWithIndexReusesIndex(t *testing.T) {
 	if got := kinds(m.Match(basic("Green")))[Value]; got == 0 {
 		t.Fatal("matcher over the cached index found no value match for Green")
 	}
+}
+
+// TestMatchValueTermAllocsFlat: a value-term Match tests each distinct value
+// once and reads only the rows holding a passing one, so on frozen tables
+// with the same distinct values it makes as many allocations at 16k rows as
+// at 1k, however many rows pass.
+func TestMatchValueTermAllocsFlat(t *testing.T) {
+	names := []string{"red rose", "white rose", "primrose", "tulip", "daisy", "lily", "iris", "aster"}
+	allocs := func(n int) float64 {
+		db := relation.NewDatabase("flowers")
+		r := db.AddSchema(relation.NewSchema("Flower", "Fid", "Name").Key("Fid"))
+		for i := 0; i < n; i++ {
+			r.MustInsert(fmt.Sprintf("f%d", i), names[i%len(names)])
+		}
+		g, err := orm.Build(db.Schemas())
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Freeze()
+		m := New(db, db.Schemas(), g, nil)
+		term := basic("rose")
+		if tags := m.Match(term); len(tags) != 1 || tags[0].NumObjects != n*3/len(names) {
+			t.Fatalf("%d rows: tags %v, want one counting %d objects", n, tags, n*3/len(names))
+		}
+		return testing.AllocsPerRun(20, func() { m.Match(term) })
+	}
+	if small, large := allocs(1<<10), allocs(1<<14); small != large {
+		t.Errorf("Match allocates %v times over 1k rows and %v over 16k", small, large)
+	}
+}
+
+// RefMatch is the reference Match is checked against (see the differential
+// in differential_test.go): the same metadata tags, then value tags found by
+// checking every posting of the term's first token against its stored value
+// and counted by refCountObjects' scan of every stored row.
+func RefMatch(m *Matcher, t keyword.Term) []Tag {
+	var tags []Tag
+	for _, tg := range m.Match(t) {
+		if tg.Kind != Value {
+			tags = append(tags, tg)
+		}
+	}
+	if t.Kind != keyword.Basic {
+		return tags
+	}
+	toks := relation.Tokenize(t.Text)
+	if len(toks) == 0 {
+		return tags
+	}
+	type key struct{ rel, attr string }
+	seen := make(map[key]bool)
+	var order []key
+	for _, p := range m.idx.LookupToken(toks[0]) {
+		s, ok := m.data.Table(p.Relation).Value(p.Row, p.Attr).(string)
+		k := key{strings.ToLower(p.Relation), strings.ToLower(p.Attr)}
+		if ok && relation.ContainsFold(s, t.Text) && !seen[k] {
+			seen[k] = true
+			order = append(order, k)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].rel != order[j].rel {
+			return order[i].rel < order[j].rel
+		}
+		return order[i].attr < order[j].attr
+	})
+	for _, k := range order {
+		for _, vs := range m.byData[k.rel] {
+			node := m.graph.NodeOfRelation(vs.Name)
+			if !vs.HasAttr(k.attr) || node == nil {
+				continue
+			}
+			attr := vs.Attributes[vs.AttrIndex(k.attr)].Name
+			tags = append(tags, Tag{Term: t.Text, Node: node.Name, Relation: vs.Name, Kind: Value,
+				Attr: attr, NumObjects: refCountObjects(m, vs, attr, t.Text)})
+		}
+	}
+	return tags
+}
+
+// refCountObjects counts the distinct objects of vs whose attribute attr
+// contains term by scanning every stored row of the data source, telling
+// objects apart by the AppendKey encoding of their primary-key values.
+func refCountObjects(m *Matcher, vs *relation.Schema, attr, term string) int {
+	tb := m.data.Table(m.SourceOf(vs.Name))
+	if tb == nil {
+		return 0
+	}
+	ai := tb.Schema.AttrIndex(attr)
+	if ai < 0 {
+		return 0
+	}
+	keyIdx := make([]int, 0, len(vs.PrimaryKey))
+	for _, ka := range vs.PrimaryKey {
+		ki := tb.Schema.AttrIndex(ka)
+		if ki < 0 {
+			return 0
+		}
+		keyIdx = append(keyIdx, ki)
+	}
+	seen := make(map[string]bool)
+	var key []byte
+	for _, tu := range tb.Tuples {
+		s, ok := tu[ai].(string)
+		if !ok || !relation.ContainsFold(s, term) {
+			continue
+		}
+		key = key[:0]
+		for _, ki := range keyIdx {
+			key = relation.AppendKey(key, tu[ki])
+		}
+		seen[string(key)] = true
+	}
+	return len(seen)
 }

@@ -16,6 +16,7 @@ func tpchGenerator(b *testing.B) *Generator {
 	if err != nil {
 		b.Fatal(err)
 	}
+	db.Freeze()
 	return NewGenerator(match.New(db, db.Schemas(), g, nil))
 }
 

@@ -18,6 +18,7 @@ func uniGenerator(t *testing.T) *Generator {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	return NewGenerator(match.New(db, db.Schemas(), g, nil))
 }
 

@@ -54,7 +54,7 @@ type Dict struct {
 	depth   int               // layers below this one
 	ids     map[string]uint32 // Format(v) -> id for non-NULL v, this layer's tail only
 	vals    []Value           // id start+i -> first value encoded with that id
-	allStr  bool              // every encoded value (all layers) was a string
+	allStr  bool              // every encoded non-NULL value (all layers) was a string
 	hasNull bool              // some encoded value (any layer) was NULL
 	remaps  sync.Map          // *Dict -> []uint32 translation tables (see RemapCached)
 	remapN  atomic.Int32      // cached remap tables, capped at remapCacheMax
@@ -110,12 +110,12 @@ func (d *Dict) grew() bool { return len(d.vals) > 0 || d.hasNull != d.base.hasNu
 // v's Format rendering, assigning the next dense ID to a rendering not seen
 // before (in this layer or any base layer).
 func (d *Dict) encode(v Value) uint32 {
-	if _, ok := v.(string); !ok {
-		d.allStr = false
-	}
 	if v == nil {
 		d.hasNull = true
 		return NullID
+	}
+	if _, ok := v.(string); !ok {
+		d.allStr = false
 	}
 	key := Format(v)
 	for e := d; e != nil; e = e.base {
@@ -179,12 +179,41 @@ func (d *Dict) Value(id uint32) Value {
 // occurs in the column. Without it, COUNT over the column is the row count.
 func (d *Dict) HasNull() bool { return d.hasNull }
 
-// AllStrings reports whether every encoded value was a string. Kernels that
-// evaluate a predicate once per dictionary entry instead of once per row
-// (e.g. CONTAINS) require this: with mixed types one ID can cover values of
-// different dynamic types, and the per-entry answer would be wrong for some
-// of its rows.
+// AllStrings reports whether every encoded non-NULL value was a string.
+// Kernels that evaluate a predicate once per dictionary entry instead of once
+// per row (e.g. CONTAINS, see ContainsFold) require this: with mixed types
+// one ID can cover values of different dynamic types, and the per-entry
+// answer would be wrong for some of its rows. NULL rows do not break it:
+// they hold NullID, which no per-entry answer selects.
 func (d *Dict) AllStrings() bool { return d.allStr }
+
+// ContainsFold is CONTAINS evaluated once per dictionary entry: a bitset over
+// the ID space whose bit id is set when the value stored under id renders
+// (Format) to a string containing needle, ignoring ASCII case (see the
+// package-level ContainsFold). NullID's bit is never set. Under AllStrings a
+// row passes exactly when its ID's bit is set. In a column that also holds
+// other types one ID can stand for both int64(5) and "5", and only the
+// string rows pass, so there the caller also checks each selected row's
+// value is a string. The bitset is fresh per call; the caller owns it.
+func (d *Dict) ContainsFold(needle string) []uint64 {
+	bits := make([]uint64, (d.Len()+63)/64)
+	for e := d; e != nil; e = e.base {
+		for i, v := range e.vals {
+			if v == nil {
+				continue // the NullID slot
+			}
+			s, ok := v.(string)
+			if !ok {
+				s = Format(v)
+			}
+			if ContainsFold(s, needle) {
+				id := int(e.start) + i
+				bits[id>>6] |= 1 << (uint(id) & 63)
+			}
+		}
+	}
+	return bits
+}
 
 // Remap builds a translation table from this dictionary's ID space into
 // to's: out[id] is the ID in to of the value this dictionary stores under

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -115,10 +116,52 @@ func TestDictAllStrings(t *testing.T) {
 	if !d.AllStrings() {
 		t.Fatal("string-only dict should report AllStrings")
 	}
+	d.encode(nil)
+	if !d.AllStrings() {
+		t.Fatal("a NULL must not clear AllStrings: NULL rows hold NullID")
+	}
 	d.encode(int64(1))
 	if d.AllStrings() {
 		t.Fatal("dict with an int must not report AllStrings")
 	}
+}
+
+// TestDictContainsFold: the per-entry CONTAINS bitset sets exactly the IDs
+// whose rendering contains the needle, never NullID (even for a needle the
+// NULL rendering would contain), and answers by rendering on a mixed
+// column, where one ID stands for both int64(5) and "5".
+func TestDictContainsFold(t *testing.T) {
+	d := newDict()
+	rose := d.encode("Primrose")
+	d.encode("tulip")
+	d.encode(nil)
+	five := d.encode(int64(5))
+	if d.encode("5") != five {
+		t.Fatal(`"5" should share int64(5)'s ID`)
+	}
+	x := d.Extend()
+	wild := x.encode("wild ROSE")
+	check := func(dd *Dict, needle string, want ...uint32) {
+		t.Helper()
+		bits := dd.ContainsFold(needle)
+		if len(bits) != (dd.Len()+63)/64 {
+			t.Fatalf("%q: %d words for %d IDs", needle, len(bits), dd.Len())
+		}
+		var got []uint32
+		for id := 0; id < dd.Len(); id++ {
+			if bits[id>>6]&(1<<(uint(id)&63)) != 0 {
+				got = append(got, uint32(id))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("ContainsFold(%q) = IDs %v, want %v", needle, got, want)
+		}
+	}
+	check(d, "rose", rose)
+	check(x, "rose", rose, wild)
+	check(x, "", 1, 2, 3, 4) // every ID but NullID
+	check(x, "null")
+	check(x, "5", five)
 }
 
 func TestDictRemap(t *testing.T) {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"sort"
 	"strings"
 	"sync/atomic"
 	"unicode"
@@ -9,7 +10,10 @@ import (
 // InvertedIndex maps lower-cased tokens to their occurrences in string-typed
 // attribute values across a database. It answers the question "which
 // relations / attributes / tuples does keyword t match?" (term matching,
-// Section 2 of the paper).
+// Section 2 of the paper). Every token's postings are ordered by table
+// (registration order), then attribute (declaration order), then row, so one
+// column's postings form one contiguous run; BuildIndex and AppendRows both
+// keep that order, and LookupPhrase relies on it.
 type InvertedIndex struct {
 	postings map[string][]Posting
 
@@ -177,23 +181,45 @@ func (idx *InvertedIndex) LookupToken(tok string) []Posting {
 	return idx.postings[strings.ToLower(tok)]
 }
 
-// LookupPhrase returns the postings of values that contain the whole phrase:
-// the postings of the phrase's first token filtered by a substring check of
-// the complete phrase against the stored value. db supplies the values.
-func (idx *InvertedIndex) LookupPhrase(db *Database, phrase string) []Posting {
+// Column names one attribute of one relation.
+type Column struct {
+	Relation string
+	Attr     string
+}
+
+// LookupPhrase returns the columns holding a value that contains the whole
+// phrase (ContainsFold), each once, in index order: the columns among the
+// postings of the phrase's first token where some posted value passes a
+// substring check of the complete phrase. Each column's postings form one
+// run (see InvertedIndex), so the table and attribute are resolved once per
+// run and a run is read only up to its first passing value. db supplies the
+// values.
+func (idx *InvertedIndex) LookupPhrase(db *Database, phrase string) []Column {
 	toks := Tokenize(phrase)
 	if len(toks) == 0 {
 		return nil
 	}
-	var out []Posting
-	for _, p := range idx.postings[toks[0]] {
-		t := db.Table(p.Relation)
+	ps := idx.postings[toks[0]]
+	var out []Column
+	for len(ps) > 0 {
+		c := Column{Relation: ps[0].Relation, Attr: ps[0].Attr}
+		run := ps[:sort.Search(len(ps), func(i int) bool {
+			return ps[i].Relation != c.Relation || ps[i].Attr != c.Attr
+		})]
+		ps = ps[len(run):]
+		t := db.Table(c.Relation)
 		if t == nil {
 			continue
 		}
-		s, ok := t.Value(p.Row, p.Attr).(string)
-		if ok && ContainsFold(s, phrase) {
-			out = append(out, p)
+		j := t.Schema.AttrIndex(c.Attr)
+		if j < 0 {
+			continue
+		}
+		for _, p := range run {
+			if s, ok := t.Tuples[p.Row][j].(string); ok && ContainsFold(s, phrase) {
+				out = append(out, c)
+				break
+			}
 		}
 	}
 	return out

@@ -256,6 +256,17 @@ func (t *Table) Lookup(attr string, v Value) []int {
 	return idx[string(AppendKey(nil, v))]
 }
 
+// LookupID returns the row ids (ascending) whose attribute j holds
+// dictionary ID id: the frozen value index Lookup reads, addressed by ID
+// instead of by value. nil on an unfrozen table or for an ID or attribute
+// out of range; the returned slice is immutable shared state — read only.
+func (t *Table) LookupID(j int, id uint32) []int {
+	if !t.frozen || j < 0 || j >= len(t.post) || int(id) >= len(t.post[j]) {
+		return nil
+	}
+	return t.post[j][id]
+}
+
 // KeyOf returns the canonical key of row i's primary-key values (their
 // AppendKey encodings concatenated): two rows get equal keys exactly when
 // their key values pairwise share a dictionary ID.

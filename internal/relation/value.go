@@ -237,8 +237,36 @@ func Coerce(s string, t Type) (Value, error) {
 	}
 }
 
-// ContainsFold reports whether haystack contains needle, ignoring ASCII case.
-// It implements the paper's "a contains t" predicate used for value matches.
+// ContainsFold reports whether haystack contains needle, ignoring ASCII case:
+// A-Z match a-z, and every other byte, each byte of a non-ASCII character
+// included, matches only itself. That is SQLite's instr(lower(x), lower(y))
+// on UTF-8 text, since lower() folds ASCII only ('ÉCOLE' does not contain
+// 'école'). It implements the paper's "a contains t" predicate used for
+// value matches and allocates nothing.
 func ContainsFold(haystack, needle string) bool {
-	return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
+	if len(needle) == 0 {
+		return true
+	}
+	first := lowerASCII(needle[0])
+	for i, last := 0, len(haystack)-len(needle); i <= last; i++ {
+		if lowerASCII(haystack[i]) != first {
+			continue
+		}
+		j := 1
+		for j < len(needle) && lowerASCII(haystack[i+j]) == lowerASCII(needle[j]) {
+			j++
+		}
+		if j == len(needle) {
+			return true
+		}
+	}
+	return false
+}
+
+// lowerASCII maps A-Z to a-z and leaves every other byte alone.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }

@@ -182,11 +182,23 @@ func TestContainsFold(t *testing.T) {
 		{"data", "database", false},
 		{"", "", true},
 		{"abc", "", true},
+		{"ab", "abc", false},
+		{"primrose", "ROSE", true},
+		// Only ASCII letters fold, as in SQLite's lower(): É and é differ,
+		// and İ does not lower to i plus a combining dot.
+		{"ÉCOLE", "école", false},
+		{"école", "ÉCOLE", false},
+		{"xÉCOLEy", "École", true},
+		{"İ", "i", false},
+		{"@[`{", "`{@[", false}, // neighbours of the letter ranges never fold
 	}
 	for _, c := range cases {
 		if got := ContainsFold(c.hay, c.needle); got != c.want {
 			t.Errorf("ContainsFold(%q, %q) = %v, want %v", c.hay, c.needle, got, c.want)
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ContainsFold("Royal Olive Ribbon", "OLIVE RIB") }); n != 0 {
+		t.Errorf("ContainsFold allocates %v times per call, want 0", n)
 	}
 }
 

@@ -123,15 +123,8 @@ func (s *System) matches(t keyword.Term) []termMatch {
 			}
 		}
 	}
-	type va struct{ rel, attr string }
-	seen := make(map[va]bool)
-	for _, p := range s.idx.LookupPhrase(s.db, t.Text) {
-		k := va{strings.ToLower(p.Relation), p.Attr}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, termMatch{rel: k.rel, attr: k.attr, kind: kindValue, term: t.Text})
+	for _, c := range s.idx.LookupPhrase(s.db, t.Text) {
+		out = append(out, termMatch{rel: strings.ToLower(c.Relation), attr: c.Attr, kind: kindValue, term: t.Text})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].kind != out[j].kind {

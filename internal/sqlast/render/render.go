@@ -281,8 +281,9 @@ func (r *renderer) pred(p sqlast.Pred) {
 // SQLite form carries a typeof() guard reproducing that exactly; Postgres
 // columns are statically typed, so the guard is unnecessary for the text
 // columns the translator emits CONTAINS on (a CAST keeps non-text columns
-// at least well-formed). Lowercasing is ASCII on both engines — matching
-// relation.ContainsFold for the ASCII needles keyword queries produce.
+// at least well-formed). SQLite's lower() folds ASCII only, exactly like
+// relation.ContainsFold; Postgres's LOWER follows the database locale and
+// may also fold non-ASCII letters (see docs/BACKENDS.md).
 func (r *renderer) contains(p sqlast.ContainsPred) {
 	switch r.d {
 	case SQLite:

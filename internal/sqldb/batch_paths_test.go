@@ -45,7 +45,8 @@ func threeWayBlocks(t *testing.T, sql string) {
 // (high-cardinality key on a small filtered input), COUNT over a
 // NULL-carrying column (boxed NULL checks, on base scans and derived
 // rowsets) and over a NULL-free one (the group-size shortcut, on a derived
-// rowset), DISTINCT's ladder, and ORDER BY + LIMIT over grouped output.
+// rowset), DISTINCT's ladder, ORDER BY + LIMIT over grouped output, and the
+// per-entry CONTAINS kernel on a column holding NULLs.
 func TestBatchOperatorPathsThreeWay(t *testing.T) {
 	for name, sql := range map[string]string{
 		// Three encoded equality keys: the packed-buffer join build/probe.
@@ -77,6 +78,12 @@ func TestBatchOperatorPathsThreeWay(t *testing.T) {
 		// Grouped output ordered and truncated.
 		"order-limit": "SELECT S.Sname, COUNT(S.Sid) AS n FROM Student S " +
 			"GROUP BY S.Sname ORDER BY n DESC LIMIT 5",
+		// CONTAINS over a string column holding NULLs and the string
+		// "NULL": evaluated once per dictionary entry, where NULL rows hold
+		// NullID, whose bit is never set (not even for '' or 'null').
+		"contains-null":       "SELECT S.Sid FROM Student S WHERE S.Sname CONTAINS '1'",
+		"contains-null-empty": "SELECT S.Sid FROM Student S WHERE S.Sname CONTAINS ''",
+		"contains-null-word":  "SELECT S.Sid, S.Sname FROM Student S WHERE S.Sname CONTAINS 'null'",
 		// MIN/MAX/SUM/AVG over the NULL-carrying column, grouped.
 		"aggregates-null": "SELECT E.Code, MIN(E.Grade) AS mn, MAX(E.Grade) AS mx, " +
 			"SUM(E.Grade) AS s, AVG(E.Grade) AS a FROM Enrol E GROUP BY E.Code",

@@ -582,23 +582,12 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 			return nil, err
 		}
 		if rs.encoded(i) && rs.dicts[i].AllStrings() && rs.dicts[i].Len() <= len(rs.rows) {
-			d := rs.dicts[i]
 			// Evaluate the substring match once per dictionary entry instead
-			// of once per row: the per-entry answers become a bitset over
-			// the ID space, and the per-row pass is a branch-free bit lookup
-			// into it. Sound only when every encoded value is a string: with
-			// mixed types one ID can cover values of different dynamic
-			// types, and the per-entry answer would be wrong for some of its
-			// rows. AllStrings also implies no NULL rows (NULL is not a
-			// string), so NullID never occurs in the column.
-			keep := make([]uint64, (d.Len()+63)/64)
-			for id := 0; id < d.Len(); id++ {
-				s, _ := d.Value(uint32(id)).(string)
-				if relation.ContainsFold(s, pp.Needle) {
-					keep[id>>6] |= 1 << (uint(id) & 63)
-				}
-			}
-			sel, err := e.fillFilterBits(rs, i, 0, keep)
+			// of once per row (Dict.ContainsFold): the per-row pass is a
+			// branch-free bit lookup into the per-entry answers. Sound when
+			// every non-NULL value is a string; NULL rows hold NullID, whose
+			// bit is never set.
+			sel, err := e.fillFilterBits(rs, i, 0, rs.dicts[i].ContainsFold(pp.Needle))
 			if err != nil {
 				return nil, err
 			}

@@ -28,6 +28,7 @@ func normalizedHarness(t *testing.T, db *relation.Database) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	return &harness{
 		gen: pattern.NewGenerator(match.New(db, db.Schemas(), g, nil)),
 		tr:  New(g, db),
@@ -45,6 +46,7 @@ func unnormalizedHarness(t *testing.T, db *relation.Database, hints map[string]s
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	return &harness{
 		gen: pattern.NewGenerator(match.New(db, view.Schemas, g, view.Sources)),
 		tr:  &Translator{Graph: g, Data: db, Sources: view.Sources, Rewrite: true},
@@ -243,6 +245,7 @@ func TestRule2PushesConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.Freeze()
 	h := &harness{
 		gen: pattern.NewGenerator(match.New(db, view.Schemas, g, view.Sources)),
 		tr:  &Translator{Graph: g, Data: db, Sources: view.Sources, Rewrite: true},
