@@ -67,9 +67,11 @@ test-backend:
 # required throughout, including under chaos injection mid-query — plus the
 # one-index-per-epoch identity check and the matcher differential (every
 # workload term's tags and object counts against a row-scan reference, on
-# the frozen database and after each of 3 incremental commits).
+# the frozen database and after each of 3 incremental commits) — and the
+# executor's semi-join soundness suite, including key sets pushed across the
+# delta-layer dictionaries an incremental commit leaves.
 test-incremental:
-	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DatabaseIndex|OneIndexPerEpoch|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch|MatcherDifferential' . ./internal/relation/ ./internal/core/ ./internal/match/
+	go test -race -count=1 -run 'Incremental|ExtendFrozen|AppendRows|DatabaseIndex|OneIndexPerEpoch|DictExtend|RemapCache|LiveCommit|LiveIngest|LiveEpoch|MatcherDifferential|SemiJoin' . ./internal/relation/ ./internal/core/ ./internal/match/ ./internal/sqldb/
 
 # Short fuzzing pass over every fuzz target (~6 minutes total); the nightly
 # workflow runs this, and `go test ./...` always replays the committed seed
@@ -155,9 +157,10 @@ lint-json:
 	@echo "wrote KWLINT.json KWLINT_PLANS.json"
 
 # Mirrors .github/workflows/ci.yml exactly, so contributors can run the
-# whole push gate locally before opening a PR (the PR-only fuzz and
-# bench-regression jobs are `go test -fuzz=FuzzExec -fuzztime=30s
-# ./internal/sqldb/` and `make bench-check`).
+# whole push gate locally before opening a PR (the PR-only jobs are the fuzz
+# smoke — `go test -fuzz=FuzzExec -fuzztime=30s ./internal/sqldb/` and
+# `go test -fuzz=FuzzRender -fuzztime=30s ./internal/backend/` — and
+# `make bench-check`).
 ci: build vet fmt-check bench-build lint test test-shuffle test-race test-chaos test-prop test-backend test-incremental cover-check
 
 # Run every example end to end.

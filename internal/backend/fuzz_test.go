@@ -9,8 +9,9 @@
 // column (SQLite's column affinity converts cross-typed literals, the
 // in-memory engine compares formatted strings — the two disagree), CONTAINS
 // needles are ASCII (SQLite's lower() folds ASCII only), aggregates
-// SUM/AVG take numeric arguments, and LIMIT is never emitted (a tie at the
-// cut line makes the kept rows engine-defined).
+// SUM/AVG take numeric arguments, and LIMIT appears only in a derived table
+// ordered on a whole key (a tie at the cut line would make the kept rows
+// engine-defined).
 package backend_test
 
 import (
@@ -129,12 +130,21 @@ func buildQuery(tp *tape) *sqlast.Query {
 	}
 	srcs := []src{{"S", fuzzTables["Student"]}}
 	q.From = append(q.From, sqlast.TableRef{Name: "Student", Alias: "S"})
-	if tp.pick(2) == 1 { // join Enrol on the shared string key
+	switch tp.pick(4) {
+	case 1, 3: // join Enrol on the shared string key
 		srcs = append(srcs, src{"E", fuzzTables["Enrol"]})
 		q.From = append(q.From, sqlast.TableRef{Name: "Enrol", Alias: "E"})
 		q.Where = append(q.Where, sqlast.JoinPred{
 			Left:  sqlast.Col{Table: "S", Column: "Sid"},
 			Right: sqlast.Col{Table: "E", Column: "Sid"},
+		})
+	case 2: // join a derived table over Enrol
+		sub, cols, on := derivedEnrol(tp)
+		srcs = append(srcs, src{"D", cols})
+		q.From = append(q.From, sqlast.TableRef{Subquery: sub, Alias: "D"})
+		q.Where = append(q.Where, sqlast.JoinPred{
+			Left:  sqlast.Col{Table: "S", Column: on[0]},
+			Right: sqlast.Col{Table: "D", Column: on[1]},
 		})
 	}
 	anyCol := func() (sqlast.Col, fuzzCol) {
@@ -207,6 +217,53 @@ func buildQuery(tp *tape) *sqlast.Query {
 		q.OrderBy = []sqlast.OrderItem{{Col: sqlast.Col{Column: q.Select[i].Alias}, Desc: tp.pick(2) == 1}}
 	}
 	return q
+}
+
+// derivedEnrol builds a derived table over Enrol, its columns, and the
+// Student column and derived column it joins on: a DISTINCT projection; a
+// GROUP BY Sid with COUNT and MAX outputs, joined on the group key; a GROUP
+// BY Code joined on its MAX(Sid) output; or a projection ordered on the
+// whole key (Sid, Code) under a LIMIT, so that no tie falls at the cut.
+// Student filters then reach the derived table as semi-join pushes wherever
+// a push is sound.
+func derivedEnrol(tp *tape) (*sqlast.Query, []fuzzCol, [2]string) {
+	from := []sqlast.TableRef{{Name: "Enrol", Alias: "Enrol"}}
+	col := func(c string) sqlast.SelectItem {
+		return sqlast.SelectItem{Expr: sqlast.ColExpr{Col: sqlast.Col{Column: c}}}
+	}
+	agg := func(fn sqlast.AggFunc, arg, alias string) sqlast.SelectItem {
+		return sqlast.SelectItem{Expr: sqlast.AggExpr{Func: fn, Arg: sqlast.Col{Column: arg}}, Alias: alias}
+	}
+	counts := fuzzCol{"n", relation.TypeInt, []relation.Value{int64(1), int64(2), int64(30)}}
+	enrol := fuzzTables["Enrol"]
+	switch tp.pick(4) {
+	case 0:
+		return &sqlast.Query{Distinct: true, Select: []sqlast.SelectItem{col("Sid"), col("Grade")}, From: from},
+			[]fuzzCol{enrol[0], enrol[2]}, [2]string{"Sid", "Sid"}
+	case 1:
+		q := &sqlast.Query{
+			Select:  []sqlast.SelectItem{col("Sid"), agg(sqlast.AggCount, "Code", "n"), agg(sqlast.AggMax, "Grade", "g")},
+			From:    from,
+			GroupBy: []sqlast.Col{{Column: "Sid"}},
+		}
+		return q, []fuzzCol{enrol[0], counts, {"g", relation.TypeInt, enrol[2].consts}}, [2]string{"Sid", "Sid"}
+	case 2:
+		q := &sqlast.Query{
+			Select:  []sqlast.SelectItem{col("Code"), agg(sqlast.AggMax, "Sid", "m"), agg(sqlast.AggCount, "Grade", "n")},
+			From:    from,
+			GroupBy: []sqlast.Col{{Column: "Code"}},
+		}
+		return q, []fuzzCol{enrol[1], {"m", relation.TypeString, enrol[0].consts}, counts}, [2]string{"Sid", "m"}
+	default:
+		desc := tp.pick(2) == 1
+		q := &sqlast.Query{
+			Select:  []sqlast.SelectItem{col("Sid"), col("Code")},
+			From:    from,
+			OrderBy: []sqlast.OrderItem{{Col: sqlast.Col{Column: "Sid"}, Desc: desc}, {Col: sqlast.Col{Column: "Code"}, Desc: desc}},
+			Limit:   1 + tp.pick(300),
+		}
+		return q, enrol[:2], [2]string{"Sid", "Sid"}
+	}
 }
 
 func FuzzRender(f *testing.F) {

@@ -93,6 +93,47 @@ func BenchmarkEqualityFilter(b *testing.B) {
 	})
 }
 
+// BenchmarkSemiJoinDerived measures statements whose derived tables the
+// semi-join pass restricts to a CONTAINS-filtered partner's keys, at
+// tpch.Large: TPCH T8's first statement (two DISTINCT projections of
+// Lineitem) and TPCH' T4's first (three normalized-view subqueries of the
+// denormalized Ordering relation).
+func BenchmarkSemiJoinDerived(b *testing.B) {
+	normalized := tpch.New(tpch.Large())
+	denormalized := tpch.Denormalize(normalized)
+	normalized.Freeze()
+	denormalized.Freeze()
+	for _, c := range []struct {
+		name string
+		db   *relation.Database
+		sql  string
+	}{
+		{"TPCH-T8", normalized,
+			"SELECT P2.partkey, P3.partkey, COUNT(S1.suppkey) AS numsuppkey FROM Supplier S1, Part P2, Part P3, " +
+				"(SELECT DISTINCT suppkey, partkey FROM Lineitem) L4, (SELECT DISTINCT suppkey, partkey FROM Lineitem) L5 " +
+				"WHERE P2.partkey=L4.partkey AND L4.suppkey=S1.suppkey AND P3.partkey=L5.partkey AND L5.suppkey=S1.suppkey " +
+				"AND P2.pname CONTAINS 'pink rose' AND P3.pname CONTAINS 'white rose' GROUP BY P2.partkey, P3.partkey"},
+		{"TPCH'-T4", denormalized,
+			"SELECT P2.partkey, MAX(S1.acctbal) AS maxacctbal FROM (SELECT DISTINCT suppkey, acctbal FROM Ordering) S1, " +
+				"(SELECT DISTINCT partkey, pname FROM Ordering WHERE pname CONTAINS 'yellow tomato') P2, " +
+				"(SELECT DISTINCT suppkey, partkey FROM Ordering) L3 " +
+				"WHERE P2.partkey=L3.partkey AND L3.suppkey=S1.suppkey GROUP BY P2.partkey"},
+	} {
+		q, err := Parse(c.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := execQuery(c.db, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMemoSharedSubplans executes a batch of statements that share join
 // fragments — the shape of a top-k interpretation list — with and without the
 // shared-subplan memo.
@@ -187,11 +228,21 @@ func buildKernelDB() *relation.Database {
 // kernelSource builds the pristine scan rowset of a table.
 func kernelSource(b *testing.B, e *executor, name string) *rowset {
 	b.Helper()
-	rs, err := e.source(sqlast.TableRef{Name: name, Alias: name})
+	rs, err := pristineScan(e, name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return rs
+}
+
+// pristineScan evaluates FROM entry name (aliased to itself) as a base scan.
+func pristineScan(e *executor, name string) (*rowset, error) {
+	tr := sqlast.TableRef{Name: name, Alias: name}
+	cols, err := e.fromCols(tr)
+	if err != nil {
+		return nil, err
+	}
+	return e.source(tr, cols, nil, nil)
 }
 
 // benchKernelModes runs op single-shard ("batch") and shard-parallel at
@@ -317,11 +368,11 @@ func TestJoinEmitAllocs(t *testing.T) {
 		{"sharded", runtime.GOMAXPROCS(0)},
 	} {
 		e := &executor{db: db, par: mode.par}
-		left, err := e.source(sqlast.TableRef{Name: "T", Alias: "T"})
+		left, err := pristineScan(e, "T")
 		if err != nil {
 			t.Fatal(err)
 		}
-		right, err := e.source(sqlast.TableRef{Name: "W", Alias: "W"})
+		right, err := pristineScan(e, "W")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,6 +182,10 @@ type executor struct {
 	memoMisses int
 	shardRuns  int // kernel passes that actually ran shard-parallel
 
+	// top is the outermost query's evaluated FROM list: the join order the
+	// statement ran (read by tests through export_test.go).
+	top *fromList
+
 	// Batch-kernel scratch, reused across operators of one statement (the
 	// executor is single-goroutine and never reentrant within an operator):
 	// the whole-input selection bitset, the packed per-block selection
@@ -220,7 +224,7 @@ func (e *executor) checkpoint() error {
 }
 
 func (e *executor) query(q *sqlast.Query) (*Result, error) {
-	rs, err := e.queryRowset(q, true)
+	rs, err := e.queryRowset(q, true, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -234,155 +238,34 @@ func (e *executor) query(q *sqlast.Query) (*Result, error) {
 // queryRowset evaluates q into a rowset. topLevel marks the outermost query
 // of a statement: its projected rowset becomes the Result directly, so
 // building an output encoding would be wasted work unless DISTINCT still
-// needs hash keys.
-func (e *executor) queryRowset(q *sqlast.Query, topLevel bool) (*rowset, error) {
-	if len(q.From) == 0 {
-		return nil, fmt.Errorf("sqldb: query has no FROM clause")
+// needs hash keys. pushes restrict q's output columns (a semi-join reduction
+// handed down by the enclosing query, see semijoin.go); plan, when non-nil,
+// records how the FROM list was evaluated (Explain).
+func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush, plan *Plan) (*rowset, error) {
+	fl, err := e.evalFrom(q, pushes, plan)
+	if err != nil {
+		return nil, err
 	}
-	sources := make([]*rowset, len(q.From))
-	for i, tr := range q.From {
+	if topLevel {
+		e.top = fl
+	}
+	acc := fl.sources[fl.start]
+	for _, st := range fl.steps {
+		src := fl.sources[st.src]
 		if err := e.checkpoint(); err != nil {
 			return nil, err
-		}
-		rs, err := e.source(tr)
-		if err != nil {
-			return nil, err
-		}
-		sources[i] = rs
-	}
-
-	consumed := make([]bool, len(q.Where))
-
-	// Push single-source filters down before joining. All predicates local
-	// to one source are applied as a unit so the filtered rowset can be
-	// memoized under its canonical scan-plus-filters key.
-	for si, rs := range sources {
-		var preds []sqlast.Pred
-		for pi, p := range q.Where {
-			if consumed[pi] || !localPred(rs, p) {
-				continue
-			}
-			preds = append(preds, p)
-			consumed[pi] = true
-		}
-		if len(preds) == 0 {
-			continue
-		}
-		key := ""
-		if rs.key != "" {
-			var b strings.Builder
-			b.WriteString(rs.key)
-			for _, p := range preds {
-				b.WriteString("|f:")
-				b.WriteString(p.String())
-			}
-			key = b.String()
-		}
-		filtered, err := e.memoized(key, func() (*rowset, error) {
-			cur := rs
-			for _, p := range preds {
-				next, err := e.filterRows(cur, p)
-				if err != nil {
-					return nil, err
-				}
-				cur = next
-			}
-			return cur, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sources[si] = filtered
-	}
-
-	// Greedy join ordering: start from the smallest source, then repeatedly
-	// join the smallest source connected to the accumulated result by a join
-	// predicate (falling back to the smallest remaining source when nothing
-	// connects — a cross join). This keeps intermediate results small
-	// without a full optimizer and is deterministic (ties break on FROM
-	// position).
-	remaining := make([]int, 0, len(sources)-1)
-	start := 0
-	for i := 1; i < len(sources); i++ {
-		if len(sources[i].rows) < len(sources[start].rows) {
-			start = i
-		}
-	}
-	for i := range sources {
-		if i != start {
-			remaining = append(remaining, i)
-		}
-	}
-	connects := func(acc *rowset, src *rowset) bool {
-		for pi, p := range q.Where {
-			if consumed[pi] {
-				continue
-			}
-			jp, ok := p.(sqlast.JoinPred)
-			if !ok {
-				continue
-			}
-			if (acc.has(jp.Left) && src.has(jp.Right)) || (acc.has(jp.Right) && src.has(jp.Left)) {
-				return true
-			}
-		}
-		return false
-	}
-	acc := sources[start]
-	for len(remaining) > 0 {
-		pick, pickPos := -1, -1
-		for pos, idx := range remaining {
-			src := sources[idx]
-			if !connects(acc, src) {
-				continue
-			}
-			if pick < 0 || len(src.rows) < len(sources[pick].rows) {
-				pick, pickPos = idx, pos
-			}
-		}
-		if pick < 0 {
-			for pos, idx := range remaining {
-				if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
-					pick, pickPos = idx, pos
-				}
-			}
-		}
-		src := sources[pick]
-		remaining = append(remaining[:pickPos], remaining[pickPos+1:]...)
-		if err := e.checkpoint(); err != nil {
-			return nil, err
-		}
-
-		var eqs []sqlast.JoinPred
-		for pi, p := range q.Where {
-			if consumed[pi] {
-				continue
-			}
-			jp, ok := p.(sqlast.JoinPred)
-			if !ok {
-				continue
-			}
-			l, r := jp.Left, jp.Right
-			switch {
-			case acc.has(l) && src.has(r):
-				eqs = append(eqs, jp)
-				consumed[pi] = true
-			case acc.has(r) && src.has(l):
-				eqs = append(eqs, sqlast.JoinPred{Left: r, Right: l})
-				consumed[pi] = true
-			}
 		}
 		key := ""
 		if acc.key != "" && src.key != "" {
-			ons := make([]string, len(eqs))
-			for k, jp := range eqs {
+			ons := make([]string, len(st.eqs))
+			for k, jp := range st.eqs {
 				ons[k] = jp.String()
 			}
 			sort.Strings(ons)
 			key = "join(" + acc.key + ")+(" + src.key + ")|on:" + strings.Join(ons, ",")
 		}
 		joined, err := e.memoized(key, func() (*rowset, error) {
-			return e.join(acc, src, eqs)
+			return e.join(acc, src, st.eqs)
 		})
 		if err != nil {
 			return nil, err
@@ -392,7 +275,7 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool) (*rowset, error) 
 
 	// Remaining predicates (including join predicates that closed a cycle).
 	for pi, p := range q.Where {
-		if consumed[pi] {
+		if fl.consumed[pi] {
 			continue
 		}
 		filtered, err := e.filterRows(acc, p)
@@ -426,15 +309,345 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool) (*rowset, error) 
 	return res, nil
 }
 
-func (e *executor) source(tr sqlast.TableRef) (*rowset, error) {
-	alias := tr.Alias
+// fromList is a query's FROM list after evaluation: every source scanned or
+// derived, filtered by its local predicates and semi-join reduced, and the
+// greedy join order over them. ExecOpts joins in exactly this order and
+// Explain prints it.
+type fromList struct {
+	sources  []*rowset
+	consumed []bool // WHERE conjuncts applied below the post-join filter phase
+	start    int    // the FROM entry the join order starts from
+	steps    []joinStep
+}
+
+// evalFrom evaluates q's FROM list: base sources and their local filters
+// first, then derived tables, each restricted to the keys of its
+// already-evaluated restricted join partners (see semijoin.go), and finally
+// the join order over the results. pushes are the restrictions handed down
+// by the enclosing query onto q's output columns.
+func (e *executor) evalFrom(q *sqlast.Query, pushes []semiPush, plan *Plan) (*fromList, error) {
+	if len(q.From) == 0 {
+		return nil, fmt.Errorf("sqldb: query has no FROM clause")
+	}
+	n := len(q.From)
+	fl := &fromList{sources: make([]*rowset, n), consumed: make([]bool, len(q.Where))}
+	cols := make([][]boundCol, n)
+	for i, tr := range q.From {
+		c, err := e.fromCols(tr)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = c
+	}
+
+	// Single-source predicates are pushed below the joins. They are assigned
+	// by column binding alone, before any source is evaluated, each to the
+	// first FROM entry that binds all of its columns.
+	local := make([][]sqlast.Pred, n)
+	for i := range q.From {
+		probe := rowset{cols: cols[i]}
+		for pi, p := range q.Where {
+			if fl.consumed[pi] || !localPred(&probe, p) {
+				continue
+			}
+			local[i] = append(local[i], p)
+			fl.consumed[pi] = true
+		}
+	}
+	// Pushes from the enclosing query go to the FROM entry their column
+	// copies (the enclosing query checked each routes soundly).
+	var outer [][]semiPush
+	if len(pushes) > 0 {
+		outer = make([][]semiPush, n)
+		for _, p := range pushes {
+			f, c, ok := semiRoute(q, cols, p.col)
+			if !ok {
+				return nil, fmt.Errorf("sqldb: semi-join push onto unroutable column %d", p.col)
+			}
+			p.col = c
+			outer[f] = append(outer[f], p)
+		}
+	}
+	own := func(i int) []semiPush {
+		if outer == nil {
+			return nil
+		}
+		return outer[i]
+	}
+	if plan != nil {
+		plan.Shape = queryShape(q)
+		plan.Sources = make([]PlanSource, n)
+	}
+
+	restricted := make([]bool, n)
+	eval := func(i int, semi []semiPush) error {
+		if err := e.checkpoint(); err != nil {
+			return err
+		}
+		tr, mine := q.From[i], own(i)
+		var sub *Plan
+		if plan != nil && tr.Subquery != nil {
+			sub = &Plan{}
+		}
+		all := append(mine[:len(mine):len(mine)], semi...)
+		rs, err := e.source(tr, cols[i], all, sub)
+		if err != nil {
+			return err
+		}
+		pristine := rs
+		if rs, err = e.filterLocal(rs, local[i]); err != nil {
+			return err
+		}
+		if tr.Subquery == nil {
+			// A base scan takes its pushes after its local filters, which
+			// may still answer from the value index of the pristine scan.
+			for _, p := range mine {
+				if rs, err = e.semiFilter(rs, p.col, p.keys); err != nil {
+					return err
+				}
+			}
+		}
+		fl.sources[i] = rs
+		restricted[i] = len(local[i]) > 0 || len(all) > 0 || (tr.Subquery != nil && len(tr.Subquery.Where) > 0)
+		if plan != nil {
+			plan.Sources[i] = planSource(tr, pristine, rs, local[i], all, sub)
+		}
+		return nil
+	}
+
+	// Base sources first, then the derived tables filtered on their own:
+	// both are ready to restrict their join partners. The join conjuncts
+	// that can reduce a derived table are looked for only when some source
+	// is restricted, so a statement without one does no extra work.
+	var selfFiltered []int
+	derived, restricting := false, false
+	for i, tr := range q.From {
+		if tr.Subquery == nil {
+			if err := eval(i, nil); err != nil {
+				return nil, err
+			}
+			restricting = restricting || restricted[i]
+			continue
+		}
+		derived = true
+		if len(tr.Subquery.Where) > 0 || len(local[i]) > 0 || len(own(i)) > 0 {
+			selfFiltered = append(selfFiltered, i)
+			restricting = true
+		}
+	}
+	var edges []semiEdge
+	if derived && restricting {
+		edges = e.semiEdges(q, cols)
+	}
+	for _, i := range selfFiltered {
+		semi, err := e.semiPushes(fl, cols, edges, restricted, i)
+		if err != nil {
+			return nil, err
+		}
+		if err := eval(i, semi); err != nil {
+			return nil, err
+		}
+	}
+	// Then, repeatedly, the pending derived table whose smallest restricted
+	// partner is smallest (ties on FROM position), reduced by every
+	// restricted partner it has.
+	for {
+		best, bestRows := -1, 0
+		for _, ed := range edges {
+			if fl.sources[ed.to] != nil || !restricted[ed.from] || !fl.sources[ed.from].encoded(ed.fromCol) {
+				continue
+			}
+			rows := len(fl.sources[ed.from].rows)
+			if best < 0 || rows < bestRows || (rows == bestRows && ed.to < best) {
+				best, bestRows = ed.to, rows
+			}
+		}
+		if best < 0 {
+			break
+		}
+		semi, err := e.semiPushes(fl, cols, edges, restricted, best)
+		if err != nil {
+			return nil, err
+		}
+		if err := eval(best, semi); err != nil {
+			return nil, err
+		}
+	}
+	// Leftovers have no restricted partner and are evaluated whole.
+	for i := range q.From {
+		if fl.sources[i] == nil {
+			if err := eval(i, nil); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	fl.start, fl.steps = joinOrder(q, fl.sources, fl.consumed)
+	if plan != nil {
+		plan.record(q, fl)
+	}
+	return fl, nil
+}
+
+// filterLocal applies the predicates local to one source as a unit, so the
+// filtered rowset is memoized under its canonical scan-plus-filters key.
+func (e *executor) filterLocal(rs *rowset, preds []sqlast.Pred) (*rowset, error) {
+	if len(preds) == 0 {
+		return rs, nil
+	}
+	key := ""
+	if rs.key != "" {
+		var b strings.Builder
+		b.WriteString(rs.key)
+		for _, p := range preds {
+			b.WriteString("|f:")
+			b.WriteString(p.String())
+		}
+		key = b.String()
+	}
+	return e.memoized(key, func() (*rowset, error) {
+		cur := rs
+		for _, p := range preds {
+			next, err := e.filterRows(cur, p)
+			if err != nil {
+				return nil, err
+			}
+			cur = next
+		}
+		return cur, nil
+	})
+}
+
+// joinStep is one step of the join order: FROM entry src joins the
+// accumulated result on eqs (accumulated side Left), the WHERE conjuncts at
+// positions on; without eqs it is a cross join.
+type joinStep struct {
+	src int
+	eqs []sqlast.JoinPred
+	on  []int
+}
+
+// joinOrder picks the greedy join order over the evaluated sources: start
+// from the smallest source, then repeatedly join the smallest source
+// connected to the accumulated result by a join predicate (falling back to
+// the smallest remaining source when nothing connects — a cross join). This
+// keeps intermediate results small without a full optimizer and is
+// deterministic (ties break on FROM position). It reads only source sizes
+// and column bindings, never rows, and marks the join predicates it uses
+// consumed.
+func joinOrder(q *sqlast.Query, sources []*rowset, consumed []bool) (int, []joinStep) {
+	start := 0
+	for i := 1; i < len(sources); i++ {
+		if len(sources[i].rows) < len(sources[start].rows) {
+			start = i
+		}
+	}
+	if len(sources) == 1 {
+		return start, nil
+	}
+	remaining := make([]int, 0, len(sources)-1)
+	for i := range sources {
+		if i != start {
+			remaining = append(remaining, i)
+		}
+	}
+	acc := &rowset{cols: append([]boundCol(nil), sources[start].cols...)}
+	connects := func(src *rowset) bool {
+		for pi, p := range q.Where {
+			if consumed[pi] {
+				continue
+			}
+			jp, ok := p.(sqlast.JoinPred)
+			if !ok {
+				continue
+			}
+			if (acc.has(jp.Left) && src.has(jp.Right)) || (acc.has(jp.Right) && src.has(jp.Left)) {
+				return true
+			}
+		}
+		return false
+	}
+	steps := make([]joinStep, 0, len(remaining))
+	for len(remaining) > 0 {
+		pick, pickPos := -1, -1
+		for pos, idx := range remaining {
+			if !connects(sources[idx]) {
+				continue
+			}
+			if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
+				pick, pickPos = idx, pos
+			}
+		}
+		if pick < 0 {
+			for pos, idx := range remaining {
+				if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
+					pick, pickPos = idx, pos
+				}
+			}
+		}
+		src := sources[pick]
+		remaining = append(remaining[:pickPos], remaining[pickPos+1:]...)
+		st := joinStep{src: pick}
+		for pi, p := range q.Where {
+			if consumed[pi] {
+				continue
+			}
+			jp, ok := p.(sqlast.JoinPred)
+			if !ok {
+				continue
+			}
+			l, r := jp.Left, jp.Right
+			switch {
+			case acc.has(l) && src.has(r):
+				st.eqs = append(st.eqs, jp)
+			case acc.has(r) && src.has(l):
+				st.eqs = append(st.eqs, sqlast.JoinPred{Left: r, Right: l})
+			default:
+				continue
+			}
+			st.on = append(st.on, pi)
+			consumed[pi] = true
+		}
+		acc.cols = append(acc.cols, src.cols...)
+		steps = append(steps, st)
+	}
+	return start, steps
+}
+
+// fromCols returns the columns FROM entry tr binds, as source binds them:
+// the relation's attributes, or the derived table's output names, under
+// tr's alias.
+func (e *executor) fromCols(tr sqlast.TableRef) ([]boundCol, error) {
+	if tr.Subquery != nil {
+		cols := make([]boundCol, len(tr.Subquery.Select))
+		for k, it := range tr.Subquery.Select {
+			cols[k] = boundCol{table: tr.Alias, name: outputName(it)}
+		}
+		return cols, nil
+	}
+	t := e.db.Table(tr.Name)
+	if t == nil {
+		return nil, fmt.Errorf("sqldb: unknown relation %q", tr.Name)
+	}
+	cols := make([]boundCol, len(t.Schema.Attributes))
+	for k, a := range t.Schema.Attributes {
+		cols[k] = boundCol{table: tr.Alias, name: a.Name}
+	}
+	return cols, nil
+}
+
+// source evaluates one FROM entry bound to cols (see fromCols): a pristine
+// scan of a base relation, or a derived table evaluated under pushes. A
+// derived table reduced by a push is specific to its statement's partners
+// and is never memoized.
+func (e *executor) source(tr sqlast.TableRef, cols []boundCol, pushes []semiPush, plan *Plan) (*rowset, error) {
 	if tr.Subquery != nil {
 		key := ""
-		if e.memo != nil {
+		if e.memo != nil && len(pushes) == 0 {
 			key = "sub|" + tr.Subquery.String()
 		}
 		sub, err := e.memoized(key, func() (*rowset, error) {
-			return e.queryRowset(tr.Subquery, false)
+			return e.queryRowset(tr.Subquery, false, pushes, plan)
 		})
 		if err != nil {
 			return nil, err
@@ -442,13 +655,9 @@ func (e *executor) source(tr sqlast.TableRef) (*rowset, error) {
 		// Rebind the subquery's output columns under the FROM alias on a
 		// fresh rowset: the underlying rows may be shared through the memo
 		// and must never be mutated.
-		rs := &rowset{rows: sub.rows, dicts: sub.dicts, enc: sub.enc}
-		rs.cols = make([]boundCol, len(sub.cols))
-		for i, bc := range sub.cols {
-			rs.cols[i] = boundCol{table: alias, name: bc.name}
-		}
+		rs := &rowset{cols: cols, rows: sub.rows, dicts: sub.dicts, enc: sub.enc}
 		if key != "" {
-			rs.key = key + "|as:" + strings.ToLower(alias)
+			rs.key = key + "|as:" + strings.ToLower(tr.Alias)
 		}
 		return rs, nil
 	}
@@ -456,15 +665,12 @@ func (e *executor) source(tr sqlast.TableRef) (*rowset, error) {
 	if t == nil {
 		return nil, fmt.Errorf("sqldb: unknown relation %q", tr.Name)
 	}
-	rs := &rowset{rows: t.Tuples, base: t}
+	rs := &rowset{cols: cols, rows: t.Tuples, base: t}
 	if dicts, enc, ok := t.Encoding(); ok {
 		rs.dicts, rs.enc = dicts, enc
 	}
 	if e.memo != nil {
-		rs.key = "scan|" + strings.ToLower(tr.Name) + "|" + strings.ToLower(alias)
-	}
-	for _, a := range t.Schema.Attributes {
-		rs.cols = append(rs.cols, boundCol{table: alias, name: a.Name})
+		rs.key = "scan|" + strings.ToLower(tr.Name) + "|" + strings.ToLower(tr.Alias)
 	}
 	return rs, nil
 }
@@ -679,19 +885,19 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 	if out.dicts != nil {
 		chunk = make([]uint32, lst+rst)
 	}
-	// Output tuples are carved out of arena blocks: one allocation per
-	// tupleArenaValues values instead of one per output row. Earlier blocks
-	// stay referenced by the tuples sliced from them, and every tuple is
-	// capacity-capped so a consumer's append cannot bleed into a neighbor.
+	// Output tuples are carved out of arena blocks instead of allocated one
+	// per output row. Blocks double from 64 rows' worth up to
+	// tupleArenaValues values, so a small result — most joins over semi-join
+	// reduced derived tables — does not allocate, or pin in the memo, a
+	// whole large block. Earlier blocks stay referenced by the tuples sliced
+	// from them, and every tuple is capacity-capped so a consumer's append
+	// cannot bleed into a neighbor.
 	var arena []relation.Value
 	width := lst + rst
 	emit := func(li, ri int) {
 		if len(arena)+width > cap(arena) {
-			c := tupleArenaValues
-			if width > c {
-				c = width
-			}
-			arena = make([]relation.Value, 0, c)
+			c := min(max(2*cap(arena), 64*width), tupleArenaValues)
+			arena = make([]relation.Value, 0, max(c, width))
 		}
 		off := len(arena)
 		arena = arena[:off+width]
@@ -933,7 +1139,7 @@ func appendJoinKey(buf []byte, row relation.Tuple, idx []int) ([]byte, bool) {
 	return buf, true
 }
 
-// tupleArenaValues sizes the arena blocks that join output tuples are carved
+// tupleArenaValues caps the arena blocks that join output tuples are carved
 // from: larger blocks amortize allocation further but round the last block's
 // waste up.
 const tupleArenaValues = 8192

@@ -8,13 +8,13 @@ import (
 	"kwagg/internal/sqlast"
 )
 
-// Plan describes how the executor would evaluate a query: the sources with
-// their cardinalities, the join order it picks, and which predicates are
-// pushed below the joins. It exists for debugging and for the CLI's \plan
-// command; building it runs the same planning code paths as ExecOpts but
-// evaluates only derived tables' plans, never the data.
+// Plan describes how the executor evaluates a query: the sources with their
+// cardinalities after local filters and semi-join pushes, the join order it
+// runs, and which predicates are pushed below the joins. It exists for
+// debugging and for the CLI's \plan command.
 type Plan struct {
 	Sources []PlanSource
+	Start   string // alias of the source the join order starts from
 	Steps   []PlanStep
 	Post    []string // predicates applied after all joins
 	Shape   string   // "aggregate", "group-by", or "projection"
@@ -23,10 +23,11 @@ type Plan struct {
 // PlanSource is one FROM entry.
 type PlanSource struct {
 	Alias   string
-	Name    string // base relation name, or "(subquery)"
-	Rows    int
+	Name    string   // base relation name, or "(subquery)"
+	Rows    int      // after local filters and semi-join pushes
 	Encoded bool     // rows carry the frozen table's dictionary encoding
 	Pushed  []string // predicates evaluated while scanning this source
+	Semi    []string // semi-join key sets the source was restricted to
 	Derived *Plan    // the plan of a derived table
 }
 
@@ -55,10 +56,16 @@ func (p *Plan) write(b *strings.Builder, indent string) {
 		if len(s.Pushed) > 0 {
 			fmt.Fprintf(b, " filter: %s", strings.Join(s.Pushed, " AND "))
 		}
+		for _, k := range s.Semi {
+			fmt.Fprintf(b, " semi-join %s", k)
+		}
 		b.WriteString("\n")
 		if s.Derived != nil {
 			s.Derived.write(b, indent+"    ")
 		}
+	}
+	if len(p.Steps) > 0 {
+		fmt.Fprintf(b, "%s  start %s\n", indent, p.Start)
 	}
 	for i, st := range p.Steps {
 		on := ""
@@ -72,143 +79,71 @@ func (p *Plan) write(b *strings.Builder, indent string) {
 	}
 }
 
-// Explain builds the evaluation plan of q against db without executing the
-// joins. Derived tables are planned recursively (their cardinality is the
-// cardinality after executing the subquery, so Explain does execute
-// subqueries — acceptable for a debugging facility).
+// Explain builds the evaluation plan of q against db. It evaluates the FROM
+// list exactly as ExecOpts does — scans, local filters, semi-join pushes
+// and every derived table, each once — and reports the join order ExecOpts
+// would run over the results, without running the top-level joins.
 func Explain(db *relation.Database, q *sqlast.Query) (*Plan, error) {
 	e := &executor{db: db}
 	plan := &Plan{}
-	switch {
-	case len(q.GroupBy) > 0:
-		plan.Shape = "group-by"
-	case hasAggregate(q):
-		plan.Shape = "aggregate"
-	default:
-		plan.Shape = "projection"
-	}
-
-	sources := make([]*rowset, len(q.From))
-	for i, tr := range q.From {
-		rs, err := e.source(tr)
-		if err != nil {
-			return nil, err
-		}
-		sources[i] = rs
-		ps := PlanSource{Alias: tr.Alias, Name: tr.Name, Rows: len(rs.rows), Encoded: rs.dicts != nil}
-		if tr.Subquery != nil {
-			ps.Name = "(subquery)"
-			sub, err := Explain(db, tr.Subquery)
-			if err != nil {
-				return nil, err
-			}
-			ps.Derived = sub
-		}
-		plan.Sources = append(plan.Sources, ps)
-	}
-
-	consumed := make([]bool, len(q.Where))
-	for si, rs := range sources {
-		for pi, p := range q.Where {
-			if consumed[pi] {
-				continue
-			}
-			if localPred(rs, p) {
-				// Report the access path the executor would take: equality
-				// constants on a base-table scan hit the value index.
-				access := " [scan]"
-				if indexableEq(rs, p) {
-					access = " [index lookup]"
-				}
-				plan.Sources[si].Pushed = append(plan.Sources[si].Pushed, p.String()+access)
-				consumed[pi] = true
-			}
-		}
-	}
-
-	// Mirror the greedy join ordering of ExecOpts, using cardinalities only.
-	remaining := make([]int, 0, len(sources)-1)
-	start := 0
-	for i := 1; i < len(sources); i++ {
-		if len(sources[i].rows) < len(sources[start].rows) {
-			start = i
-		}
-	}
-	for i := range sources {
-		if i != start {
-			remaining = append(remaining, i)
-		}
-	}
-	accCols := append([]boundCol(nil), sources[start].cols...)
-	has := func(cols []boundCol, c sqlast.Col) bool {
-		n := 0
-		for _, bc := range cols {
-			if strings.EqualFold(bc.name, c.Column) &&
-				(c.Table == "" || strings.EqualFold(bc.table, c.Table)) {
-				n++
-			}
-		}
-		return n == 1
-	}
-	connects := func(src *rowset) bool {
-		for pi, p := range q.Where {
-			if consumed[pi] {
-				continue
-			}
-			jp, ok := p.(sqlast.JoinPred)
-			if !ok {
-				continue
-			}
-			if (has(accCols, jp.Left) && src.has(jp.Right)) || (has(accCols, jp.Right) && src.has(jp.Left)) {
-				return true
-			}
-		}
-		return false
-	}
-	for len(remaining) > 0 {
-		pick, pickPos := -1, -1
-		for pos, idx := range remaining {
-			if !connects(sources[idx]) {
-				continue
-			}
-			if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
-				pick, pickPos = idx, pos
-			}
-		}
-		strategy := "hash join"
-		if pick < 0 {
-			strategy = "cross join"
-			for pos, idx := range remaining {
-				if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
-					pick, pickPos = idx, pos
-				}
-			}
-		}
-		src := sources[pick]
-		remaining = append(remaining[:pickPos], remaining[pickPos+1:]...)
-		step := PlanStep{Alias: q.From[pick].Alias, Strategy: strategy}
-		for pi, p := range q.Where {
-			if consumed[pi] {
-				continue
-			}
-			jp, ok := p.(sqlast.JoinPred)
-			if !ok {
-				continue
-			}
-			if (has(accCols, jp.Left) && src.has(jp.Right)) || (has(accCols, jp.Right) && src.has(jp.Left)) {
-				step.On = append(step.On, jp.String())
-				consumed[pi] = true
-			}
-		}
-		accCols = append(accCols, src.cols...)
-		plan.Steps = append(plan.Steps, step)
-	}
-	for pi, p := range q.Where {
-		if !consumed[pi] {
-			plan.Post = append(plan.Post, p.String())
-		}
+	if _, err := e.evalFrom(q, nil, plan); err != nil {
+		return nil, err
 	}
 	return plan, nil
+}
+
+// planSource describes FROM entry tr after evaluation: pristine is the rowset
+// before its local filters (whose first predicate may use the value index of
+// a pristine scan), rs the rowset the joins see.
+func planSource(tr sqlast.TableRef, pristine, rs *rowset, local []sqlast.Pred, pushes []semiPush, derived *Plan) PlanSource {
+	ps := PlanSource{Alias: tr.Alias, Name: tr.Name, Rows: len(rs.rows), Encoded: rs.dicts != nil, Derived: derived}
+	if tr.Subquery != nil {
+		ps.Name = "(subquery)"
+	}
+	for k, p := range local {
+		access := " [scan]"
+		if k == 0 && indexableEq(pristine, p) {
+			access = " [index lookup]"
+		}
+		ps.Pushed = append(ps.Pushed, p.String()+access)
+	}
+	for _, p := range pushes {
+		ps.Semi = append(ps.Semi, p.String())
+	}
+	return ps
+}
+
+// record fills the plan's join order and post-join predicates from the
+// evaluated FROM list.
+func (p *Plan) record(q *sqlast.Query, fl *fromList) {
+	p.Start = q.From[fl.start].Alias
+	for _, st := range fl.steps {
+		step := PlanStep{Alias: q.From[st.src].Alias, Strategy: "cross join"}
+		if len(st.eqs) > 0 {
+			step.Strategy = "hash join"
+		}
+		for _, pi := range st.on {
+			step.On = append(step.On, q.Where[pi].String())
+		}
+		p.Steps = append(p.Steps, step)
+	}
+	for pi, pr := range q.Where {
+		if !fl.consumed[pi] {
+			p.Post = append(p.Post, pr.String())
+		}
+	}
+}
+
+// queryShape names the projection q ends in.
+func queryShape(q *sqlast.Query) string {
+	switch {
+	case len(q.GroupBy) > 0:
+		return "group-by"
+	case hasAggregate(q):
+		return "aggregate"
+	default:
+		return "projection"
+	}
 }
 
 func hasAggregate(q *sqlast.Query) bool {

@@ -1,0 +1,68 @@
+package sqldb_test
+
+import (
+	"reflect"
+	"testing"
+
+	"kwagg"
+	"kwagg/internal/dataset/acmdl"
+	"kwagg/internal/dataset/tpch"
+	"kwagg/internal/experiments"
+	"kwagg/internal/sqldb"
+)
+
+// explainSetups builds each kwagg.DatasetWorkloads dataset at its default
+// scale, where a CONTAINS filter often shrinks a source below one that is
+// smaller unfiltered, so orders read off unfiltered sizes differ.
+var explainSetups = map[string]func() (*experiments.Setup, error){
+	"university":   experiments.NewUniversity,
+	"tpch":         func() (*experiments.Setup, error) { return experiments.NewTPCH(tpch.Default()) },
+	"tpch-denorm":  func() (*experiments.Setup, error) { return experiments.NewTPCHUnnormalized(tpch.Default()) },
+	"acmdl":        func() (*experiments.Setup, error) { return experiments.NewACMDL(acmdl.Default()) },
+	"acmdl-denorm": func() (*experiments.Setup, error) { return experiments.NewACMDLUnnormalized(acmdl.Default()) },
+}
+
+// TestExplainJoinOrderMatchesExec replays every bundled dataset workload and
+// checks, for each interpretation, that Explain's start source and join
+// steps are the order ExecOpts joins in. Explain orders the sources by their
+// sizes after local filters and semi-join pushes, as the executor does: TPCH
+// T4's third interpretation (seed 42) starts from the 13 Part rows its
+// CONTAINS keeps, not from the Supplier scan, which is smaller unfiltered.
+func TestExplainJoinOrderMatchesExec(t *testing.T) {
+	for name, queries := range kwagg.DatasetWorkloads() {
+		build, ok := explainSetups[name]
+		if !ok {
+			t.Fatalf("workload %q has no setup — extend explainSetups", name)
+		}
+		t.Run(name, func(t *testing.T) {
+			s, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kw := range queries {
+				ins, err := s.Ours.Interpret(kw, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", kw, err)
+				}
+				for i, in := range ins {
+					plan, err := sqldb.Explain(s.Ours.Data, in.SQL)
+					if err != nil {
+						t.Fatalf("%s #%d: explain: %v", kw, i+1, err)
+					}
+					planned := []string{plan.Start}
+					for _, st := range plan.Steps {
+						planned = append(planned, st.Alias)
+					}
+					ran, err := sqldb.ExecJoinOrder(s.Ours.Data, in.SQL)
+					if err != nil {
+						t.Fatalf("%s #%d: exec: %v", kw, i+1, err)
+					}
+					if !reflect.DeepEqual(planned, ran) {
+						t.Errorf("%s #%d: Explain orders %v, ExecOpts joins %v\nSQL: %s\n%s",
+							kw, i+1, planned, ran, in.SQL, plan)
+					}
+				}
+			}
+		})
+	}
+}

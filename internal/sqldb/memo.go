@@ -12,7 +12,9 @@ import (
 // Memo caches intermediate executor rowsets across statements and requests,
 // keyed by a canonical subplan string: "scan|<table>|<alias>" grown with
 // "|f:<pred>" per pushed filter, "join(<left>)+(<right>)|on:<eqs>" per join
-// step, and "sub|<sql>" for derived tables. The top-k interpretations of one
+// step, and "sub|<sql>" for derived tables evaluated whole (a derived table
+// reduced by a semi-join push is never cached, nor is anything built on
+// it). The top-k interpretations of one
 // keyword query share most of their ORM-graph join fragments, so executing
 // them against the same frozen database repeats near-identical subplans; the
 // memo lets the first execution pay for a fragment and every later
@@ -217,7 +219,9 @@ type ExecConfig struct {
 // Equality predicates on base-table scans are answered from the per-table
 // value index, and on frozen databases the hash paths — joins, GROUP BY,
 // DISTINCT, equality filters — run the batch kernels over the tables'
-// dictionary encoding, decoding back to values only at projection time.
+// dictionary encoding, which rowsets carry beside the boxed tuples; derived
+// tables are restricted to their join partners' keys before they are
+// materialized (see semijoin.go).
 //
 // Evaluation honors cancellation: it checks ctx between operator phases and
 // once per block (or every rowCheckInterval rows) inside scan, filter and

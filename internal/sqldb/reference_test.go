@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -516,29 +517,54 @@ func nullZeroDB() *relation.Database {
 	return db
 }
 
-// diffRandomAgainstReference runs 500 seeded random statements through
+// refTable is one base relation the random statement generators draw from.
+type refTable struct {
+	name  string
+	attrs []string
+}
+
+// diffRandomAgainstReference runs 500 seeded random statements over base
+// tables, then 300 over derived tables (see randomDerivedQuery), through
 // ExecOpts and refExec and fails on the first divergence in validity or in
 // the sorted rows.
 func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
 	t.Helper()
 	r := rand.New(rand.NewSource(99))
 
-	type tinfo struct {
-		name  string
-		attrs []string
-	}
-	var tables []tinfo
+	var tables []refTable
 	for _, tb := range db.Tables() {
-		tables = append(tables, tinfo{tb.Schema.Name, tb.Schema.AttrNames()})
+		tables = append(tables, refTable{tb.Schema.Name, tb.Schema.AttrNames()})
 	}
 	intAttrs := map[string]bool{"Age": true, "Credit": true, "Price": true}
+	check := func(trial int, q *sqlast.Query) {
+		t.Helper()
+		got, errGot := execQuery(db, q)
+		want, errWant := refExec(db, q)
+		if (errGot == nil) != (errWant == nil) {
+			// Both evaluators must agree on whether the query is valid
+			// (e.g. ambiguous unqualified columns).
+			t.Fatalf("trial %d: error divergence: exec=%v ref=%v\n%s", trial, errGot, errWant, q)
+		}
+		if errGot != nil {
+			return
+		}
+		g, w := canonicalRows(got), canonicalRows(want)
+		if len(g) != len(w) {
+			t.Fatalf("trial %d: row counts differ (%d vs %d)\n%s", trial, len(g), len(w), q)
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("trial %d: rows differ\nexec: %v\nref:  %v\n%s", trial, g[i], w[i], q)
+			}
+		}
+	}
 
 	for trial := 0; trial < 500; trial++ {
 		q := &sqlast.Query{Distinct: r.Intn(4) == 0}
 		n := 1 + r.Intn(3)
 		type src struct {
 			alias string
-			info  tinfo
+			info  refTable
 		}
 		var srcs []src
 		for i := 0; i < n; i++ {
@@ -588,24 +614,157 @@ func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
 			})
 		}
 
-		got, errGot := execQuery(db, q)
-		want, errWant := refExec(db, q)
-		if (errGot == nil) != (errWant == nil) {
-			// Both evaluators must agree on whether the query is valid
-			// (e.g. ambiguous unqualified columns).
-			t.Fatalf("trial %d: error divergence: exec=%v ref=%v\n%s", trial, errGot, errWant, q)
-		}
-		if errGot != nil {
-			continue
-		}
-		g, w := canonicalRows(got), canonicalRows(want)
-		if len(g) != len(w) {
-			t.Fatalf("trial %d: row counts differ (%d vs %d)\n%s", trial, len(g), len(w), q)
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("trial %d: rows differ\nexec: %v\nref:  %v\n%s", trial, g[i], w[i], q)
+		check(trial, q)
+	}
+	for trial := 500; trial < 800; trial++ {
+		check(trial, randomDerivedQuery(r, tables, intAttrs))
+	}
+}
+
+// randomDerivedQuery builds an acyclic join of two to four sources, each a
+// base table or a derived table over one: a DISTINCT projection, a GROUP BY
+// with COUNT and MAX outputs (and at times a column outside the GROUP BY,
+// which no push may restrict), a DISTINCT projection ordered on every column
+// under a LIMIT (a total order, so the kept rows are defined), or a
+// projection of a nested derived table. Each source joins one earlier
+// source, mostly on a column of the same name when one has it and otherwise
+// on any pair, aggregate outputs included. Base sources and derived tables'
+// scans are filtered at random, so semi-join pushes reach the derived
+// tables both applied and skipped.
+func randomDerivedQuery(r *rand.Rand, tables []refTable, intAttrs map[string]bool) *sqlast.Query {
+	needles := []string{"e", "a", "Green", "1", "c1"}
+	col := func(c string) sqlast.SelectItem {
+		return sqlast.SelectItem{Expr: sqlast.ColExpr{Col: sqlast.Col{Column: c}}}
+	}
+	var derive func(ti refTable, nested bool) (*sqlast.Query, []string)
+	derive = func(ti refTable, nested bool) (*sqlast.Query, []string) {
+		attr := func() string { return ti.attrs[r.Intn(len(ti.attrs))] }
+		sub := &sqlast.Query{From: []sqlast.TableRef{{Name: ti.name, Alias: ti.name}}}
+		var cols []string
+		switch kind := r.Intn(4); {
+		case kind == 1:
+			g := attr()
+			cols = []string{g, "agg", "mx"}
+			sub.GroupBy = []sqlast.Col{{Column: g}}
+			sub.Select = []sqlast.SelectItem{col(g),
+				{Expr: sqlast.AggExpr{Func: sqlast.AggCount, Arg: sqlast.Col{Column: attr()}}, Alias: "agg"},
+				{Expr: sqlast.AggExpr{Func: sqlast.AggMax, Arg: sqlast.Col{Column: attr()}}, Alias: "mx"}}
+			if c := attr(); c != g && r.Intn(3) == 0 {
+				// A column outside GROUP BY reads its group's first row.
+				cols = append(cols, c)
+				sub.Select = append(sub.Select, col(c))
+			}
+		case kind == 3 && !nested:
+			inner, icols := derive(ti, true)
+			sub = &sqlast.Query{Distinct: r.Intn(2) == 0, From: []sqlast.TableRef{{Subquery: inner, Alias: "Y"}}}
+			for _, c := range icols {
+				if len(cols) == 0 || r.Intn(2) == 0 {
+					cols = append(cols, c)
+					sub.Select = append(sub.Select, col(c))
+				}
+			}
+			return sub, cols
+		default:
+			cols = []string{attr()}
+			if c := attr(); r.Intn(2) == 0 && c != cols[0] {
+				cols = append(cols, c)
+			}
+			sub.Distinct = true
+			for _, c := range cols {
+				sub.Select = append(sub.Select, col(c))
+			}
+			if kind == 2 {
+				for _, c := range cols {
+					sub.OrderBy = append(sub.OrderBy, sqlast.OrderItem{Col: sqlast.Col{Column: c}, Desc: r.Intn(2) == 0})
+				}
+				sub.Limit = 1 + r.Intn(5)
 			}
 		}
+		if r.Intn(3) == 0 {
+			sub.Where = []sqlast.Pred{sqlast.ContainsPred{Col: sqlast.Col{Column: attr()}, Needle: needles[r.Intn(len(needles))]}}
+		}
+		return sub, cols
 	}
+
+	type src struct {
+		alias string
+		cols  []string
+	}
+	q := &sqlast.Query{Distinct: r.Intn(4) == 0}
+	var srcs []src
+	for i, n := 0, 2+r.Intn(3); i < n; i++ {
+		alias := fmt.Sprintf("X%d", i)
+		// Mostly a relation sharing a column name with an earlier source,
+		// so that joins match rows.
+		ti := tables[r.Intn(len(tables))]
+		var related []refTable
+		for _, tb := range tables {
+			for _, p := range srcs {
+				if slices.ContainsFunc(tb.attrs, func(a string) bool { return slices.Contains(p.cols, a) }) {
+					related = append(related, tb)
+					break
+				}
+			}
+		}
+		if len(related) > 0 && r.Intn(5) != 0 {
+			ti = related[r.Intn(len(related))]
+		}
+		var s src
+		if r.Intn(2) == 0 {
+			s = src{alias, ti.attrs}
+			q.From = append(q.From, sqlast.TableRef{Name: ti.name, Alias: alias})
+			if r.Intn(2) == 0 {
+				c := sqlast.Col{Table: alias, Column: ti.attrs[r.Intn(len(ti.attrs))]}
+				q.Where = append(q.Where, sqlast.ContainsPred{Col: c, Needle: needles[r.Intn(len(needles))]})
+			}
+		} else {
+			sub, cols := derive(ti, false)
+			s = src{alias, cols}
+			q.From = append(q.From, sqlast.TableRef{Subquery: sub, Alias: alias})
+		}
+		if i > 0 {
+			type edge struct{ alias, left, right string }
+			var same []edge
+			for _, p := range srcs {
+				for _, a := range p.cols {
+					for _, b := range s.cols {
+						if a == b {
+							same = append(same, edge{p.alias, a, b})
+						}
+					}
+				}
+			}
+			p := srcs[r.Intn(i)]
+			e := edge{p.alias, p.cols[r.Intn(len(p.cols))], s.cols[r.Intn(len(s.cols))]}
+			if len(same) > 0 && r.Intn(5) != 0 {
+				e = same[r.Intn(len(same))]
+			}
+			q.Where = append(q.Where, sqlast.JoinPred{
+				Left:  sqlast.Col{Table: e.alias, Column: e.left},
+				Right: sqlast.Col{Table: alias, Column: e.right},
+			})
+		}
+		srcs = append(srcs, s)
+	}
+	randCol := func() sqlast.Col {
+		s := srcs[r.Intn(len(srcs))]
+		return sqlast.Col{Table: s.alias, Column: s.cols[r.Intn(len(s.cols))]}
+	}
+	if r.Intn(2) == 0 {
+		for i := 0; i < 1+r.Intn(2); i++ {
+			q.Select = append(q.Select, sqlast.SelectItem{Expr: sqlast.ColExpr{Col: randCol()}})
+		}
+		return q
+	}
+	gb := randCol()
+	q.GroupBy = []sqlast.Col{gb}
+	aggCol := randCol()
+	fn := sqlast.AggCount
+	if intAttrs[aggCol.Column] || aggCol.Column == "agg" {
+		fns := []sqlast.AggFunc{sqlast.AggCount, sqlast.AggSum, sqlast.AggAvg, sqlast.AggMin, sqlast.AggMax}
+		fn = fns[r.Intn(len(fns))]
+	}
+	q.Select = []sqlast.SelectItem{{Expr: sqlast.ColExpr{Col: gb}},
+		{Expr: sqlast.AggExpr{Func: fn, Arg: aggCol, Distinct: r.Intn(4) == 0}, Alias: "agg"}}
+	return q
 }
