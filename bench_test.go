@@ -379,3 +379,57 @@ func BenchmarkAnswerParallel8(b *testing.B) {
 	}
 	sys.Workers = 0
 }
+
+// BenchmarkPaperColdPass is one pass over kwbench's 32 paper-cold pairs per
+// iteration: T1-T8 on TPCH and TPCH' at tpch.Large, A1-A8 on ACMDL and
+// ACMDL' with every entity count times five, seed 42, k=3, with the memo off
+// (core.System has no answer cache). It reports bytes and allocations per
+// pass, the figure the executor's row representation drives:
+//
+//	go test -run '^$' -bench PaperColdPass -benchmem .
+func BenchmarkPaperColdPass(b *testing.B) {
+	tc := tpch.Large()
+	tc.Seed = 42
+	ac := acmdl.Default()
+	ac.Seed = 42
+	ac.Authors *= 5
+	ac.Editors *= 5
+	ac.Proceedings *= 5
+	ac.Papers *= 5
+	type pair struct {
+		sys   *core.System
+		query string
+	}
+	var pairs []pair
+	for _, s := range []struct {
+		db      *relation.Database
+		views   map[string]string
+		queries []experiments.Query
+	}{
+		{tpch.New(tc), nil, experiments.QueriesTPCH()},
+		{tpch.Denormalize(tpch.New(tc)), tpch.NameHints(), experiments.QueriesTPCH()},
+		{acmdl.New(ac), nil, experiments.QueriesACMDL()},
+		{acmdl.Denormalize(acmdl.New(ac)), acmdl.NameHints(), experiments.QueriesACMDL()},
+	} {
+		sys, err := core.Open(s.db, &core.Options{NameHints: s.views, MemoCells: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range s.queries {
+			pairs = append(pairs, pair{sys, q.Keywords})
+		}
+	}
+	pass := func() {
+		for _, p := range pairs {
+			if _, err := p.sys.Answer(p.query, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // warm the dictionaries' remap caches, as a serving engine is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}

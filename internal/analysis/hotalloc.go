@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // relationPkg is the import path of the storage package whose Format helper
@@ -20,8 +21,12 @@ const relationPkg = "kwagg/internal/relation"
 //     relation.AppendFormat, which appends digits directly,
 //   - make(...) in the batch-kernel block loops (any function running the
 //     per-block kernels of batch.go) — block scratch must come from the
-//     executor's reused buffers (ensureBits/ensureIdx/ensurePids), not be
-//     reallocated once per block.
+//     executor's reused buffers (ensureBits/ensureIdx), not be reallocated
+//     once per block,
+//   - in non-test code, make, append or a composite literal of elements of
+//     type relation.Value or relation.Tuple — rowsets carry dictionary IDs
+//     only, and values are boxed once, when the Result is decoded, into
+//     storage allocated outside the loop.
 //
 // Loops are where rows are processed; the same patterns outside a loop are
 // per-statement, not per-row, and are not flagged.
@@ -36,6 +41,7 @@ func HotAlloc() *Analyzer {
 		}
 		var diags []Diagnostic
 		for _, fd := range funcDecls(pkg) {
+			test := strings.HasSuffix(pkg.Fset.Position(fd.Pos()).Filename, "_test.go")
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				var body *ast.BlockStmt
 				switch l := n.(type) {
@@ -46,7 +52,7 @@ func HotAlloc() *Analyzer {
 				default:
 					return true
 				}
-				diags = append(diags, checkHotLoop(pkg, body)...)
+				diags = append(diags, checkHotLoop(pkg, body, test)...)
 				return true
 			})
 		}
@@ -55,10 +61,11 @@ func HotAlloc() *Analyzer {
 	return a
 }
 
-// checkHotLoop scans one loop body. Nested loops are skipped here — the
-// outer Inspect visits them separately — so each site is reported exactly
-// once, at the innermost loop containing it.
-func checkHotLoop(pkg *Pkg, body *ast.BlockStmt) []Diagnostic {
+// checkHotLoop scans one loop body of a test (test) or production function.
+// Nested loops are skipped here — the outer Inspect visits them separately —
+// so each site is reported exactly once, at the innermost loop containing
+// it.
+func checkHotLoop(pkg *Pkg, body *ast.BlockStmt, test bool) []Diagnostic {
 	var diags []Diagnostic
 	report := func(n ast.Node, msg string) {
 		diags = append(diags, Diagnostic{
@@ -108,7 +115,16 @@ func checkHotLoop(pkg *Pkg, body *ast.BlockStmt) []Diagnostic {
 					}
 				}
 			}
+		case *ast.CompositeLit:
+			if !test && boxesValues(pkg.Info.TypeOf(st)) {
+				report(st, "composite literal of relation.Value/Tuple elements in an sqldb loop boxes values per row; rowsets carry dictionary IDs, decoded once into the Result")
+			}
 		case *ast.CallExpr:
+			if !test && len(st.Args) > 0 && (isBuiltinMake(pkg.Info, st) || isBuiltinAppend(pkg.Info, st)) &&
+				boxesValues(pkg.Info.TypeOf(st.Args[0])) {
+				report(st, "make/append of relation.Value/Tuple elements in an sqldb loop boxes values per row; rowsets carry dictionary IDs, decoded once into the Result")
+				return true
+			}
 			if blockLoop && isBuiltinMake(pkg.Info, st) {
 				report(st, "make in a batch-kernel block loop allocates scratch once per block; reuse the executor's ensure* buffers or hoist the allocation out of the loop")
 				return true
@@ -133,6 +149,30 @@ func checkHotLoop(pkg *Pkg, body *ast.BlockStmt) []Diagnostic {
 		return true
 	})
 	return diags
+}
+
+// boxesValues reports whether t is a slice, array or map whose elements are
+// relation.Value or relation.Tuple.
+func boxesValues(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	var elem types.Type
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		elem = u.Elem()
+	case *types.Array:
+		elem = u.Elem()
+	case *types.Map:
+		elem = u.Elem()
+	default:
+		return false
+	}
+	n, ok := elem.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != relationPkg {
+		return false
+	}
+	return n.Obj().Name() == "Value" || n.Obj().Name() == "Tuple"
 }
 
 // isBuiltinMake reports whether call is the builtin make(...).

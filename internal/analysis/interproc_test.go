@@ -200,3 +200,18 @@ func read(r *obs.Registry) uint64 {
 `
 	wantNone(t, check(t, "kwagg/internal/obs2", src, MetricName()))
 }
+
+// TestHotAllocBoxedValueFixtures pins hotalloc's boxed-value rule: the one
+// Result decode allocates outside its loop and passes; per-row make, append
+// and composite literals of relation.Value or relation.Tuple are reported.
+func TestHotAllocBoxedValueFixtures(t *testing.T) {
+	diags := checkFixture(t, "kwagg/internal/sqldb", "hotalloc_violating.go", HotAlloc())
+	wantDiag(t, diags, "hotalloc", "make/append of relation.Value/Tuple")
+	wantDiag(t, diags, "hotalloc", "composite literal of relation.Value/Tuple")
+	// decodeRows: the make and the append of rows; pairs: the literal;
+	// column: the append.
+	if len(diags) != 4 {
+		t.Fatalf("want 4 boxed-value findings, got %v", diags)
+	}
+	wantNone(t, checkFixture(t, "kwagg/internal/sqldb", "hotalloc_allowed.go", HotAlloc()))
+}

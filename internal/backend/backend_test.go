@@ -17,8 +17,9 @@ import (
 
 // cornerDB builds a tiny database with the values that historically break
 // naive escaping, NULL handling and equality: NULL beside the string
-// "NULL", 0 beside -0, two integers a float64 cannot tell apart, and
-// non-ASCII letters that only a Unicode case fold would equate.
+// "NULL", 0 beside -0, two integers a float64 cannot tell apart, non-ASCII
+// letters that only a Unicode case fold would equate, and two tables sharing
+// a column name for ORDER BY resolution.
 func cornerDB() *relation.Database {
 	db := relation.NewDatabase("corner")
 	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Qty INT", "Price FLOAT").Key("Id"))
@@ -37,6 +38,12 @@ func cornerDB() *relation.Database {
 	for i, name := range []string{"ÉCOLE", "école", "xÉCOLEy", "İ", "école", "ÉCOLE"} {
 		place.MustInsert(fmt.Sprintf("p%d", i+1), name)
 	}
+	a := db.AddSchema(relation.NewSchema("A", "K INT", "X").Key("K"))
+	a.MustInsert(int64(1), "a1")
+	a.MustInsert(int64(2), "a2")
+	b := db.AddSchema(relation.NewSchema("B", "K INT", "X").Key("K"))
+	b.MustInsert(int64(1), "z")
+	b.MustInsert(int64(2), "b")
 	db.Freeze()
 	return db
 }

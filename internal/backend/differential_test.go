@@ -208,6 +208,12 @@ func TestDifferentialSQLiteCorners(t *testing.T) {
 		// 2^53 and 2^53+1 are distinct integers, in order and in filters
 		"SELECT T.Id, T.X FROM T ORDER BY T.X",
 		"SELECT T.Id FROM T WHERE T.X > 9007199254740992",
+		// int64 against float64 compares exactly: 2^53+1 > 2^53.0
+		"SELECT T.Id FROM T WHERE T.X > 9007199254740992.0",
+		// a qualified ORDER BY column is B's X, not the first output X
+		"SELECT A.X, B.X FROM A A, B B WHERE A.K = B.K ORDER BY B.X",
+		// LIMIT 0 returns no row
+		"SELECT A.X FROM A A LIMIT 0",
 	} {
 		q := parse(t, sql)
 		diffOne(t, db, ext, sql, q, len(q.OrderBy) > 0)

@@ -256,11 +256,12 @@ func derivedEnrol(tp *tape) (*sqlast.Query, []fuzzCol, [2]string) {
 		return q, []fuzzCol{enrol[1], {"m", relation.TypeString, enrol[0].consts}, counts}, [2]string{"Sid", "m"}
 	default:
 		desc := tp.pick(2) == 1
+		limit := 1 + tp.pick(300)
 		q := &sqlast.Query{
 			Select:  []sqlast.SelectItem{col("Sid"), col("Code")},
 			From:    from,
 			OrderBy: []sqlast.OrderItem{{Col: sqlast.Col{Column: "Sid"}, Desc: desc}, {Col: sqlast.Col{Column: "Code"}, Desc: desc}},
-			Limit:   1 + tp.pick(300),
+			Limit:   &limit,
 		}
 		return q, enrol[:2], [2]string{"Sid", "Sid"}
 	}

@@ -141,7 +141,7 @@ func ExtendFrozen(base *Table, add []Tuple) (*Table, DeltaStats, error) {
 	nt.dicts = make([]*Dict, ncols)
 	for j, d := range tails {
 		if d.grew() {
-			nt.dicts[j] = d
+			nt.dicts[j] = d.seal()
 			stats.NewDictEntries += len(d.vals)
 		} else {
 			nt.dicts[j] = base.dicts[j]

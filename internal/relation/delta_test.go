@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"sync"
@@ -415,8 +416,9 @@ func TestDatabaseIndexConcurrent(t *testing.T) {
 }
 
 // Dictionary layering details: pointer identity is preserved for columns
-// with no new distinct values, chains flatten past maxDictDepth, and the
-// remap cache stays correct and capped across epochs.
+// with no new distinct values, size-tiered merging keeps every chain at most
+// log2(Len) layers deep, and the remap cache stays correct and capped across
+// epochs.
 func TestDictExtendLayering(t *testing.T) {
 	s := NewSchema("L", "Id INT", "Cat").Key("Id")
 	rows := []Tuple{}
@@ -444,16 +446,16 @@ func TestDictExtendLayering(t *testing.T) {
 	// and lookups exact.
 	cur := got
 	n := cur.Len()
-	for e := 0; e < 4*maxDictDepth; e++ {
+	for e := 0; e < 32; e++ {
 		cur, _, err = ExtendFrozen(cur, []Tuple{{int64(1000 + e), fmt.Sprintf("cat%d", e%6)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		n++
-	}
-	for j, d := range cur.dicts {
-		if d.depth > maxDictDepth {
-			t.Fatalf("dict %d chain depth %d exceeds %d", j, d.depth, maxDictDepth)
+		for j, d := range cur.dicts {
+			if bound := bits.Len(uint(d.Len())); d.depth >= bound {
+				t.Fatalf("extension %d: dict %d chain depth %d, want < log2(%d)+1 = %d", e, j, d.depth, d.Len(), bound)
+			}
 		}
 	}
 	if cur.Len() != n {
@@ -481,6 +483,51 @@ func TestDictExtendLayering(t *testing.T) {
 	}
 	if cached := cur.dicts[1].RemapCached(cur.dicts[0]); !reflect.DeepEqual(cached, remap) {
 		t.Fatal("RemapCached disagrees with Remap")
+	}
+}
+
+// TestDictExtendTieredMerge pins size-tiered merging over 64 single-value
+// extensions of a 10,000-value base: no extension copies the base (its
+// layer stays the bottom of every chain, by pointer), and every lookup in
+// both directions agrees with a full freeze of the same rows.
+func TestDictExtendTieredMerge(t *testing.T) {
+	s := NewSchema("M", "Id INT").Key("Id")
+	rows := make([]Tuple, 10000)
+	for i := range rows {
+		rows[i] = Tuple{int64(i)}
+	}
+	cur := fullFreeze(t, s, rows)
+	base := cur.dicts[0]
+	for e := 0; e < 64; e++ {
+		rows = append(rows, Tuple{int64(len(rows))})
+		var err error
+		if cur, _, err = ExtendFrozen(cur, rows[len(rows)-1:]); err != nil {
+			t.Fatal(err)
+		}
+		bottom := cur.dicts[0]
+		for bottom.base != nil {
+			bottom = bottom.base
+		}
+		if bottom != base {
+			t.Fatalf("extension %d rewrote the 10,000-value base", e)
+		}
+	}
+	want := fullFreeze(t, s, rows).dicts[0]
+	got := cur.dicts[0]
+	if got.Len() != want.Len() {
+		t.Fatalf("Len %d, want %d", got.Len(), want.Len())
+	}
+	for id := 1; id < want.Len(); id++ {
+		v := want.Value(uint32(id))
+		if gv := got.Value(uint32(id)); gv != v {
+			t.Fatalf("Value(%d) = %v, want %v", id, gv, v)
+		}
+		if gid, ok := got.ID(v); !ok || gid != uint32(id) {
+			t.Fatalf("ID(%v) = %d,%v, want %d", v, gid, ok, id)
+		}
+	}
+	if _, ok := got.ID(int64(-1)); ok {
+		t.Fatal("ID of an absent value reported ok")
 	}
 }
 

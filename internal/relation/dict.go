@@ -16,17 +16,11 @@ const NoID = ^uint32(0)
 // but never match a constant or join.
 const NullID uint32 = 0
 
-// maxDictDepth bounds the delta-dictionary chain length (see Extend): a
-// lookup walks at most this many layers, and an Extend that would exceed it
-// flattens the chain back into a single layer first. Flattening costs
-// O(distinct) but happens at most once per maxDictDepth epochs, so the
-// amortized per-commit cost stays O(distinct/maxDictDepth).
-const maxDictDepth = 8
-
 // remapCacheMax bounds the number of remap tables cached per dictionary.
 // Long-lived delta chains reuse base dictionaries across many epochs; without
 // a cap every epoch's partner dictionaries would pin a translation table (and
-// the partner itself) forever.
+// the partner itself) forever. Per-result dictionaries (EncodeColumn) never
+// enter a cache, on either side.
 const remapCacheMax = 128
 
 // Dict is a per-column value dictionary and the engine's single definition
@@ -47,7 +41,9 @@ const remapCacheMax = 128
 // re-encoding the whole column. ID assignment is identical to a from-scratch
 // build of the full data — both intern in row order, NullID is reserved up
 // front, and the base's IDs are a prefix by construction — which is what
-// keeps delta-built epochs byte-identical to full freezes.
+// keeps delta-built epochs byte-identical to full freezes. A grown layer is
+// sealed by size-tiered merging (see seal), which keeps the chain
+// logarithmic in the values added.
 type Dict struct {
 	base    *Dict             // previous layer, nil for a full build
 	start   uint32            // first ID owned by this layer (== base.Len())
@@ -56,6 +52,7 @@ type Dict struct {
 	vals    []Value           // id start+i -> first value encoded with that id
 	allStr  bool              // every encoded non-NULL value (all layers) was a string
 	hasNull bool              // some encoded value (any layer) was NULL
+	local   bool              // built by EncodeColumn for one result: never remap-cached
 	remaps  sync.Map          // *Dict -> []uint32 translation tables (see RemapCached)
 	remapN  atomic.Int32      // cached remap tables, capped at remapCacheMax
 }
@@ -65,39 +62,70 @@ func newDict() *Dict {
 	return &Dict{ids: make(map[string]uint32), vals: []Value{nil}, allStr: true}
 }
 
+// EncodeColumn builds a finished dictionary over vals, interned in order by
+// the rule Freeze uses (NullID for NULL, otherwise one ID per Format
+// rendering), and returns it with each value's ID. The executor encodes
+// computed columns (aggregate outputs) this way, so every column it carries
+// has a dictionary. Such a per-result dictionary is never cached in, or as
+// the target of, a remap cache (see RemapCached): a long-lived base
+// dictionary must not pin the dictionary of a finished statement.
+func EncodeColumn(vals []Value) (*Dict, []uint32) {
+	d := newDict()
+	d.local = true
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		ids[i] = d.encode(v)
+	}
+	return d, ids
+}
+
 // Extend returns a new dictionary sharing this one as its immutable base:
 // encode on the result interns unseen values into a private tail starting at
 // d.Len(), leaving d untouched (old-epoch readers keep using it
-// concurrently). When the layer chain would exceed maxDictDepth the base is
-// flattened first, bounding lookup cost.
+// concurrently). A tail that grew is sealed before it is published.
 func (d *Dict) Extend() *Dict {
-	base := d
-	if d.depth >= maxDictDepth {
-		base = d.flatten()
-	}
 	return &Dict{
-		base:    base,
-		start:   uint32(base.Len()),
-		depth:   base.depth + 1,
+		base:    d,
+		start:   uint32(d.Len()),
+		depth:   d.depth + 1,
 		ids:     make(map[string]uint32),
-		allStr:  base.allStr,
-		hasNull: base.hasNull,
+		allStr:  d.allStr,
+		hasNull: d.hasNull,
 	}
 }
 
-// flatten collapses the layer chain into a single fresh dictionary with the
-// same ID assignment. Keys live in exactly one layer, so the maps merge
-// without re-rendering any value.
-func (d *Dict) flatten() *Dict {
-	n := d.Len()
-	nd := &Dict{ids: make(map[string]uint32, n), vals: make([]Value, n), allStr: d.allStr, hasNull: d.hasNull}
-	for e := d; e != nil; e = e.base {
-		copy(nd.vals[e.start:int(e.start)+len(e.vals)], e.vals)
-		for k, id := range e.ids {
-			nd.ids[k] = id
+// seal settles a grown delta layer by size-tiered merging: the deepest layer
+// below which the layers above it together hold at least as many values as
+// it does is merged with all of them into one fresh layer. Layers below the
+// merge stay shared with older epochs, and IDs do not change. Afterwards
+// every layer holds more values than all layers above it combined, so the
+// cumulative sizes at least double going down and a chain over N values is
+// at most log2(N) layers deep; each value is copied O(log N) times in all.
+// The full-build base is rewritten only once the tail above it has grown as
+// large as it.
+func (d *Dict) seal() *Dict {
+	var target *Dict
+	tail := 0
+	for e := d; e.base != nil; e = e.base {
+		tail += len(e.vals)
+		if tail >= len(e.base.vals) {
+			target = e.base
 		}
 	}
-	return nd
+	if target == nil {
+		return d
+	}
+	n := d.Len() - int(target.start)
+	m := &Dict{base: target.base, start: target.start, depth: target.depth,
+		ids: make(map[string]uint32, n), vals: make([]Value, n),
+		allStr: d.allStr, hasNull: d.hasNull}
+	for e := d; e != target.base; e = e.base {
+		copy(m.vals[e.start-m.start:], e.vals)
+		for k, id := range e.ids {
+			m.ids[k] = id
+		}
+	}
+	return m
 }
 
 // grew reports whether this delta layer changed anything over its base: it
@@ -187,32 +215,38 @@ func (d *Dict) HasNull() bool { return d.hasNull }
 // they hold NullID, which no per-entry answer selects.
 func (d *Dict) AllStrings() bool { return d.allStr }
 
-// ContainsFold is CONTAINS evaluated once per dictionary entry: a bitset over
-// the ID space whose bit id is set when the value stored under id renders
-// (Format) to a string containing needle, ignoring ASCII case (see the
-// package-level ContainsFold). NullID's bit is never set. Under AllStrings a
-// row passes exactly when its ID's bit is set. In a column that also holds
-// other types one ID can stand for both int64(5) and "5", and only the
-// string rows pass, so there the caller also checks each selected row's
-// value is a string. The bitset is fresh per call; the caller owns it.
-func (d *Dict) ContainsFold(needle string) []uint64 {
+// Select evaluates keep once per dictionary entry: a bitset over the ID
+// space whose bit id is set when keep accepts the value stored under id (the
+// first value encoded with that ID). NullID's bit is never set. The bitset
+// is fresh per call; the caller owns it.
+func (d *Dict) Select(keep func(Value) bool) []uint64 {
 	bits := make([]uint64, (d.Len()+63)/64)
 	for e := d; e != nil; e = e.base {
 		for i, v := range e.vals {
-			if v == nil {
-				continue // the NullID slot
-			}
-			s, ok := v.(string)
-			if !ok {
-				s = Format(v)
-			}
-			if ContainsFold(s, needle) {
+			if v != nil && keep(v) {
 				id := int(e.start) + i
 				bits[id>>6] |= 1 << (uint(id) & 63)
 			}
 		}
 	}
 	return bits
+}
+
+// ContainsFold is CONTAINS evaluated once per dictionary entry (Select): bit
+// id is set when the value stored under id renders (Format) to a string
+// containing needle, ignoring ASCII case (see the package-level
+// ContainsFold). Under AllStrings a row passes exactly when its ID's bit is
+// set. In a column that also holds other types one ID can stand for both
+// int64(5) and "5", and only the string rows pass, so there the caller also
+// checks each selected row's value is a string.
+func (d *Dict) ContainsFold(needle string) []uint64 {
+	return d.Select(func(v Value) bool {
+		s, ok := v.(string)
+		if !ok {
+			s = Format(v)
+		}
+		return ContainsFold(s, needle)
+	})
 }
 
 // Remap builds a translation table from this dictionary's ID space into
@@ -240,9 +274,13 @@ func (d *Dict) Remap(to *Dict) []uint32 {
 // valid forever; joins between the same column pair — the common case across
 // a keyword query's top-k interpretations — pay the O(distinct) build once.
 // Safe for concurrent use; a duplicated build is benign. The cache is capped
-// (base dictionaries outlive many epochs' partners); past the cap the table
+// (base dictionaries outlive many epochs' partners); past the cap, and
+// whenever either side is a per-result dictionary (EncodeColumn), the table
 // is computed uncached.
 func (d *Dict) RemapCached(to *Dict) []uint32 {
+	if d.local || to.local {
+		return d.Remap(to)
+	}
 	if v, ok := d.remaps.Load(to); ok {
 		return v.([]uint32)
 	}
@@ -255,3 +293,6 @@ func (d *Dict) RemapCached(to *Dict) []uint32 {
 	}
 	return m.([]uint32)
 }
+
+// CachedRemaps reports how many remap tables d holds in its cache.
+func (d *Dict) CachedRemaps() int { return int(d.remapN.Load()) }

@@ -46,6 +46,9 @@ func TestDictIdentityIsCompare(t *testing.T) {
 		{"V INT", []Value{int64(1 << 53), int64(1<<53 + 1), int64(0), int64(-1), int64(math.MaxInt64), int64(math.MinInt64), int64(1<<53 - 1)}},
 		{"V FLOAT", []Value{0.0, math.Copysign(0, -1), 1.5, -1.5, 0.1 + 0.2, 0.3, 1e21, 1e-300, math.MaxFloat64, 9007199254740993.0}},
 		{"V", []Value{"NULL", "null", "", "a", "a\x1fb", "0", "-0"}},
+		// int64 and float64 mixed, magnitudes at most 2^53, non-integral
+		// floats included: one ID exactly when Compare says equal.
+		{"V FLOAT", []Value{int64(5), 5.0, 5.5, int64(-2), -2.0, -2.5, int64(1 << 53), float64(1 << 53), int64(1<<53 - 1), float64(1<<53 - 1), 0.5, int64(0), math.Copysign(0, -1)}},
 	}
 	for _, c := range columns {
 		// Each value twice, then NULLs: the base half below holds no NULL,

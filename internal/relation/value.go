@@ -76,10 +76,10 @@ func AsFloat(v Value) (float64, bool) {
 	}
 }
 
-// Compare orders two values. NULL sorts before every non-NULL value. Two
-// int64s compare exactly; any other numeric pair, an int64/float64 mix
-// included, compares as float64; everything else compares by its Format
-// rendering. The result is -1, 0, or +1.
+// Compare orders two values. NULL sorts before every non-NULL value. Numeric
+// pairs compare exactly, an int64/float64 mix included (as SQLite compares
+// them); everything else compares by its Format rendering. The result is -1,
+// 0, or +1.
 func Compare(a, b Value) int {
 	switch {
 	case Null(a) && Null(b):
@@ -89,35 +89,56 @@ func Compare(a, b Value) int {
 	case Null(b):
 		return 1
 	}
-	if ai, ok := a.(int64); ok {
-		if bi, ok := b.(int64); ok {
-			return cmp.Compare(ai, bi)
+	switch x := a.(type) {
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return cmp.Compare(x, y)
+		case float64:
+			return compareIntFloat(x, y)
 		}
-	}
-	af, aok := numeric(a)
-	bf, bok := numeric(b)
-	if aok && bok {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
+	case float64:
+		switch y := b.(type) {
+		case int64:
+			return -compareIntFloat(y, x)
+		case float64:
+			return compareFloat(x, y)
 		}
 	}
 	return strings.Compare(Format(a), Format(b))
 }
 
-func numeric(v Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
+// compareFloat orders two floats; NaN, which Coerce rejects, compares equal
+// to everything.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	default:
-		return 0, false
+		return 0
 	}
+}
+
+// compareIntFloat orders an int64 against a float64 exactly, without
+// rounding the integer to float64 first: a float outside the int64 range
+// lies beyond every int64, and one inside it compares by its integral part
+// and then its fraction.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return compareFloat(t, f)
 }
 
 // Equal reports whether two values are equal under Compare semantics.
@@ -148,8 +169,8 @@ func Format(v Value) string {
 // AppendFormat appends the Format rendering of v to dst and returns the
 // extended slice, without materializing an intermediate string: integers and
 // floats append their digits directly (strconv.Append*), strings and NULL
-// append their bytes. AppendKey builds per-row hash and join keys on it
-// allocation-free; AppendFormat(dst, v) is byte-identical to
+// append their bytes. AppendKey builds its keys on it allocation-free;
+// AppendFormat(dst, v) is byte-identical to
 // append(dst, Format(v)...) for every value (pinned by TestAppendFormat).
 func AppendFormat(dst []byte, v Value) []byte {
 	switch x := v.(type) {
@@ -177,10 +198,10 @@ const nullKey = ^uint32(0)
 // or, for NULL, the lone length 0xFFFFFFFF. Two values get equal keys
 // exactly when both are NULL or neither is and their renderings are equal —
 // the identity a Dict gives its IDs — and the length prefix keeps
-// concatenated keys unambiguous, so composite keys
-// — multi-column GROUP BY, DISTINCT and join keys over columns without a
-// dictionary, primary keys — are a plain concatenation. Appending into a
-// buffer with capacity does not allocate for the common value classes.
+// concatenated keys unambiguous, so composite keys (primary keys, see
+// Table.KeyOf) are a plain concatenation. The value index of an unfrozen
+// table keys on it too. Appending into a buffer with capacity does not
+// allocate for the common value classes.
 func AppendKey(dst []byte, v Value) []byte {
 	if v == nil {
 		return binary.LittleEndian.AppendUint32(dst, nullKey)

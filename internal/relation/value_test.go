@@ -25,6 +25,15 @@ func TestCompareNumeric(t *testing.T) {
 		{Int(1<<53 + 1), Int(1 << 53), 1},
 		{Int(math.MaxInt64 - 1), Int(math.MaxInt64), -1},
 		{Float(0), Float(math.Copysign(0, -1)), 0},
+		// int64/float64 pairs compare exactly too, beyond 2^53 and at the
+		// ends of the int64 range
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Float(1 << 53), Int(1<<53 + 1), -1},
+		{Int(math.MaxInt64), Float(0x1p63), -1},
+		{Float(0x1p63), Int(math.MaxInt64), 1},
+		{Int(math.MinInt64), Float(-0x1p63), 0},
+		{Int(-3), Float(-2.5), -1},
+		{Int(-2), Float(-2.5), 1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {

@@ -9,10 +9,17 @@ import (
 	"kwagg/internal/relation"
 )
 
+// frozen freezes a fixture database: the executor reads frozen tables only,
+// as every production caller's core.Open-frozen database is.
+func frozen(db *relation.Database) *relation.Database {
+	db.Freeze()
+	return db
+}
+
 // TestQ1_MergesSameNameStudents reproduces the introduction's Q1: SQAK sums
 // the credits of both students called Green into one row of 13.
 func TestQ1_MergesSameNameStudents(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	res, sql, err := s.Answer("Green SUM Credit")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
@@ -29,7 +36,7 @@ func TestQ1_MergesSameNameStudents(t *testing.T) {
 // TestQ2_CountsTextbookDuplicates reproduces Q2: SQAK joins the full Teach
 // relation and counts textbook b1 twice, returning 35 instead of 25.
 func TestQ2_CountsTextbookDuplicates(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	res, sql, err := s.Answer("Java SUM Price")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
@@ -47,7 +54,7 @@ func TestQ2_CountsTextbookDuplicates(t *testing.T) {
 // SQAK joins Lecturer wholesale and counts the CS department once per
 // lecturer, returning 2.
 func TestQ3_UnnormalizedDuplicates(t *testing.T) {
-	s := New(university.NewDenormalizedLecturer())
+	s := New(frozen(university.NewDenormalizedLecturer()))
 	res, sql, err := s.Answer("Engineering COUNT Department")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
@@ -63,7 +70,7 @@ func TestQ3_UnnormalizedDuplicates(t *testing.T) {
 // TestSelfJoinRejected: two value terms on the same relation need a self
 // join, which SQAK refuses.
 func TestSelfJoinRejected(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	// Both phrases match only Textbook.Tname, so every match combination
 	// needs two Textbook instances.
 	_, err := s.Translate(`COUNT Lecturer "Programming Language" "Discrete Mathematics"`)
@@ -75,7 +82,7 @@ func TestSelfJoinRejected(t *testing.T) {
 // TestMultipleAggregatesRejected: two separate aggregate applications are
 // beyond SQAK's single-aggregate SELECT restriction.
 func TestMultipleAggregatesRejected(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	_, err := s.Translate("COUNT Course SUM Credit")
 	if !errors.Is(err, ErrMultipleAggregates) {
 		t.Fatalf("want ErrMultipleAggregates, got %v", err)
@@ -85,7 +92,7 @@ func TestMultipleAggregatesRejected(t *testing.T) {
 // TestNestedAggregateRun: an adjacent MAX COUNT run is one application and
 // is supported via a nested query.
 func TestNestedAggregateRun(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	res, sql, err := s.Answer("MAX COUNT Student GROUPBY Course")
 	if err != nil {
 		t.Fatalf("Answer: %v", err)
@@ -102,7 +109,7 @@ func TestNestedAggregateRun(t *testing.T) {
 // paper's introduction: join Student-Enrol-Course, condition on Sname,
 // group by the condition attribute.
 func TestQ1SQLShape(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	sql, err := s.Translate("Green SUM Credit")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +128,7 @@ func TestQ1SQLShape(t *testing.T) {
 // TestCountRelationName: COUNT over a relation-name match counts the
 // relation's first key attribute.
 func TestCountRelationName(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	sql, err := s.Translate("COUNT Student GROUPBY Course")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +141,7 @@ func TestCountRelationName(t *testing.T) {
 // TestMinimalSQN: SQAK connects matched relations with a minimal subgraph;
 // {Green SUM Credit} must not drag in Teach or Textbook.
 func TestMinimalSQN(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	sql, err := s.Translate("Green SUM Credit")
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +155,7 @@ func TestMinimalSQN(t *testing.T) {
 
 // TestNoMatchError: a term matching nothing is an error.
 func TestNoMatchError(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	if _, err := s.Translate("zzznothing SUM Credit"); !errors.Is(err, ErrNoMatch) {
 		t.Errorf("want ErrNoMatch, got %v", err)
 	}
@@ -157,7 +164,7 @@ func TestNoMatchError(t *testing.T) {
 // TestGroupByValueTermUsesAttr: a GROUPBY operand that only matches values
 // groups by the matched attribute (SQAK's behaviour on denormalized TPCH').
 func TestGroupByValueTermUsesAttr(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	sql, err := s.Translate("COUNT Code GROUPBY Steven")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +177,7 @@ func TestGroupByValueTermUsesAttr(t *testing.T) {
 // TestPureKeywordQuery: without operators SQAK returns the matched
 // condition attributes.
 func TestPureKeywordQuery(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	res, sql, err := s.Answer("Green Java")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +189,7 @@ func TestPureKeywordQuery(t *testing.T) {
 
 // TestAnswerSortsDeterministically: repeated runs return identical rows.
 func TestAnswerSortsDeterministically(t *testing.T) {
-	s := New(university.New())
+	s := New(frozen(university.New()))
 	a, _, err := s.Answer("COUNT Student GROUPBY Course")
 	if err != nil {
 		t.Fatal(err)

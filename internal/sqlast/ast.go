@@ -228,8 +228,9 @@ type Query struct {
 	Where    []Pred // conjunction
 	GroupBy  []Col
 	OrderBy  []OrderItem
-	// Limit truncates the result to the first N rows; 0 means no limit.
-	Limit int
+	// Limit truncates the result to its first *Limit rows; nil means no
+	// LIMIT clause, which is not the same as LIMIT 0.
+	Limit *int
 }
 
 // String renders the query as SQL text in the layout used by the paper:
@@ -280,8 +281,8 @@ func (q *Query) String() string {
 			b.WriteString(o.String())
 		}
 	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
+	if q.Limit != nil {
+		fmt.Fprintf(&b, " LIMIT %d", *q.Limit)
 	}
 	return b.String()
 }
@@ -334,15 +335,19 @@ func (q *Query) Pretty() string {
 			b.WriteString(o.String())
 		}
 	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&b, "\nLIMIT %d", q.Limit)
+	if q.Limit != nil {
+		fmt.Fprintf(&b, "\nLIMIT %d", *q.Limit)
 	}
 	return b.String()
 }
 
 // Clone returns a deep copy of the query.
 func (q *Query) Clone() *Query {
-	c := &Query{Distinct: q.Distinct, Limit: q.Limit}
+	c := &Query{Distinct: q.Distinct}
+	if q.Limit != nil {
+		n := *q.Limit
+		c.Limit = &n
+	}
 	c.Select = append([]SelectItem(nil), q.Select...)
 	for _, tr := range q.From {
 		nt := tr

@@ -11,6 +11,7 @@ import (
 // table, an aliased DISTINCT aggregate, join / compare / contains predicates,
 // GROUP BY, ORDER BY DESC and LIMIT.
 func goldenQuery() *Query {
+	limit := 10
 	inner := &Query{
 		Distinct: true,
 		Select: []SelectItem{
@@ -35,7 +36,7 @@ func goldenQuery() *Query {
 		},
 		GroupBy: []Col{{Table: "D1", Column: "Sname"}},
 		OrderBy: []OrderItem{{Col: Col{Column: "numTitle"}, Desc: true}},
-		Limit:   10,
+		Limit:   &limit,
 	}
 }
 

@@ -408,9 +408,9 @@ func (r *renderer) query(q *sqlast.Query) {
 			}
 		}
 	}
-	if q.Limit > 0 {
+	if q.Limit != nil {
 		r.b.WriteString(" LIMIT ")
-		r.b.WriteString(strconv.Itoa(q.Limit))
+		r.b.WriteString(strconv.Itoa(*q.Limit))
 	}
 }
 

@@ -41,7 +41,36 @@ func q1() *sqlast.Query {
 			{Col: sqlast.Col{Column: "n"}, Desc: true},
 			{Col: sqlast.Col{Column: "Name"}},
 		},
-		Limit: 7,
+		Limit: limit(7),
+	}
+}
+
+// limit returns a LIMIT count for a Query literal.
+func limit(n int) *int { return &n }
+
+// TestLimitZeroRendering: LIMIT 0 is a clause of its own, rendered in every
+// dialect, and only a nil Limit renders none.
+func TestLimitZeroRendering(t *testing.T) {
+	q := q1()
+	q.Limit = limit(0)
+	for _, d := range []Dialect{SQLDB, SQLite, Postgres} {
+		got, err := SQL(q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(got, " LIMIT 0") {
+			t.Errorf("dialect %v dropped LIMIT 0:\n%s", d, got)
+		}
+	}
+	q.Limit = nil
+	for _, d := range []Dialect{SQLDB, SQLite, Postgres} {
+		got, err := SQL(q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(got, "LIMIT") {
+			t.Errorf("dialect %v rendered a LIMIT for a nil Limit:\n%s", d, got)
+		}
 	}
 }
 

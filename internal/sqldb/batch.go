@@ -1,11 +1,9 @@
 package sqldb
 
 import (
-	"fmt"
 	"math/bits"
 
 	"kwagg/internal/relation"
-	"kwagg/internal/sqlast"
 )
 
 // Vectorized batch kernels (MonetDB/X100-style): the hot operators —
@@ -33,7 +31,7 @@ func (e *executor) stepN(n int) error {
 }
 
 // colView returns the contiguous column-major encoding of rs's column i when
-// rs is a pristine base-table scan — rows exactly base.Tuples, so rowset
+// rs is a pristine base-table scan — the table's rows in order, so rowset
 // column i is attribute i of the base table. nil for derived rowsets, whose
 // kernels read the row-major enc array with a stride instead.
 func colView(rs *rowset, i int) *relation.ColData {
@@ -57,14 +55,6 @@ func (e *executor) ensureIdx() []int32 {
 		e.selIdx = make([]int32, 0, relation.BlockSize)
 	}
 	return e.selIdx
-}
-
-// ensurePids returns the translated-probe-ID scratch, sized to one block.
-func (e *executor) ensurePids() []uint32 {
-	if e.pids == nil {
-		e.pids = make([]uint32, relation.BlockSize)
-	}
-	return e.pids
 }
 
 // eqBits fills bits with the selection bitset of col[k] == id over one
@@ -111,9 +101,9 @@ func eqBitsStrided(dst []uint64, enc []uint32, st, n int, id uint32) {
 
 // keepBits fills bits with the per-row lookup of a per-dictionary-entry keep
 // bitset (bit id set iff the dictionary entry matched the predicate): bit k
-// is set iff keep has col[k]'s bit. The CONTAINS kernel evaluates its
-// substring match once per dictionary entry and then selects rows with this
-// single branch-free pass.
+// is set iff keep has col[k]'s bit. CONTAINS, range comparisons and
+// semi-join pushes evaluate their predicate once per dictionary entry and
+// then select rows with this single branch-free pass.
 func keepBits(dst []uint64, col []uint32, keep []uint64) {
 	n := len(col)
 	for w := 0; w*64 < n; w++ {
@@ -150,8 +140,8 @@ func keepBitsStrided(dst []uint64, enc []uint32, st, n int, keep []uint64) {
 }
 
 // neqBits fills bits with the selection bitset of ids[k] != sentinel —
-// the probe-side survivor mask after a remap (sentinel relation.NoID marks
-// probe values absent from the build dictionary).
+// the probe-side survivor mask of a hash join (sentinel relation.NoID marks
+// probe keys absent from the build side).
 func neqBits(dst []uint64, ids []uint32, sentinel uint32) {
 	n := len(ids)
 	for w := 0; w*64 < n; w++ {
@@ -201,7 +191,7 @@ func countBits(sel []uint64) int {
 // shard boundaries are block- and therefore word-aligned, so workers write
 // disjoint words of the one shared bitset.
 func (e *executor) fillFilterBits(rs *rowset, i int, id uint32, keep []uint64) ([]uint64, error) {
-	n := len(rs.rows)
+	n := rs.n
 	sel := e.ensureBits((n + 63) / 64)
 	if e.parFor(n) > 1 {
 		err := e.forEachShard(n, func(_, lo, hi int) error {
@@ -246,16 +236,13 @@ func (e *executor) fillBitsRange(rs *rowset, i int, id uint32, keep []uint64, se
 	return nil
 }
 
-// gatherSelected appends the selected rows to out in ascending row order,
-// preallocated to the selection count so the emits never reallocate.
+// gatherSelected copies the selected rows' IDs into out in ascending row
+// order, allocated once at the selection count.
 func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset) error {
-	n := len(rs.rows)
-	count := countBits(sel)
-	out.rows = make([]relation.Tuple, 0, count)
+	n := rs.n
 	st := len(rs.cols)
-	if out.dicts != nil {
-		out.enc = make([]uint32, 0, count*st)
-	}
+	out.n = countBits(sel)
+	out.enc = make([]uint32, 0, out.n*st)
 	idx := e.ensureIdx()
 	for b := 0; b*relation.BlockSize < n; b++ {
 		lo := b * relation.BlockSize
@@ -268,228 +255,260 @@ func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset) error {
 		}
 		idx = selIndexes(idx, sel[b*blockWords:], nb)
 		for _, k := range idx {
-			ri := lo + int(k)
-			out.rows = append(out.rows, rs.rows[ri])
-			if out.dicts != nil {
-				out.enc = append(out.enc, rs.enc[ri*st:(ri+1)*st]...)
-			}
+			out.enc = append(out.enc, rs.row(lo+int(k))...)
 		}
 	}
 	e.selIdx = idx[:0]
 	return nil
 }
 
-// batchProbe is the vectorized probe of the single-encoded-key hash join:
-// per block it translates the probe IDs through the cached remap table,
-// masks out misses (NoID, which NULL rows always are) branch-free, packs the
-// survivors into a selection vector and walks the build chains only for
-// those. Output order is ascending probe row.
-// dense and mapHeads are the two build-side head structures (exactly one is
-// non-nil); next threads each chain in ascending build-row order.
-func (e *executor) batchProbe(left *rowset, li int, remap []uint32, dense []int32, mapHeads map[uint32]int32, next []int32, emit func(lj, rj int)) error {
-	n := len(left.rows)
-	col := colView(left, li)
-	st := len(left.cols)
-	pids := e.ensurePids()
-	idx := e.ensureIdx()
-	var sel [blockWords]uint64
-	for b := 0; b*relation.BlockSize < n; b++ {
-		lo := b * relation.BlockSize
-		nb := n - lo
-		if nb > relation.BlockSize {
-			nb = relation.BlockSize
-		}
-		if err := e.stepN(nb); err != nil {
-			return err
-		}
-		// Fused remap + survivor mask: one pass translates the block's probe
-		// IDs through the remap table and builds the miss mask (NoID) word by
-		// word, instead of a gather pass followed by a neqBits pass (neqBits
-		// remains the scalar reference for this mask).
-		if col != nil {
-			blk := col.Block(b)
-			for w := 0; w*64 < nb; w++ {
-				m := nb - w*64
-				if m > 64 {
-					m = 64
-				}
-				base := w * 64
-				var word uint64
-				for k := 0; k < m; k++ {
-					id := remap[blk[base+k]]
-					pids[base+k] = id
-					word |= ((uint64(id^relation.NoID)-1)>>63 ^ 1) & 1 << uint(k)
-				}
-				sel[w] = word
+// gatherRows copies the IDs of rows (ascending row numbers) into out.
+func (e *executor) gatherRows(rs *rowset, rows []int, out *rowset) error {
+	out.n = len(rows)
+	out.enc = make([]uint32, 0, len(rows)*len(rs.cols))
+	for k, ri := range rows {
+		if k&(rowCheckInterval-1) == 0 {
+			if err := e.checkpoint(); err != nil {
+				return err
 			}
+		}
+		out.enc = append(out.enc, rs.row(ri)...)
+	}
+	return nil
+}
+
+// chains threads a hash join's build rows per key: head(k) is the first
+// build row with key k, next[r] the row after r with the same key (-1 ends
+// a chain), in ascending row order, and run[r] the number of rows from r to
+// the end of its chain, so a probe knows its match count before it emits.
+type chains struct {
+	dense []int32          // heads indexed by key, when the key space is small
+	heads map[uint32]int32 // heads of a key space much larger than the build side
+	next  []int32
+	run   []int32
+}
+
+// buildChains threads rows 0..n-1 by their keys, row r's key at
+// enc[r*st+off], from a key space of the given size.
+func buildChains(enc []uint32, st, off, n, space int) *chains {
+	c := &chains{next: make([]int32, n), run: make([]int32, n)}
+	if space <= 4*n+1024 {
+		c.dense = make([]int32, space)
+		for i := range c.dense {
+			c.dense[i] = -1
+		}
+	} else {
+		c.heads = make(map[uint32]int32, n)
+	}
+	for r := n - 1; r >= 0; r-- {
+		k := enc[r*st+off]
+		h := c.head(k)
+		c.next[r], c.run[r] = h, 1
+		if h >= 0 {
+			c.run[r] += c.run[h]
+		}
+		if c.dense != nil {
+			c.dense[k] = int32(r)
 		} else {
-			p := lo*st + li
-			for w := 0; w*64 < nb; w++ {
-				m := nb - w*64
-				if m > 64 {
-					m = 64
-				}
-				base := w * 64
-				var word uint64
-				for k := 0; k < m; k++ {
-					id := remap[left.enc[p]]
-					pids[base+k] = id
-					word |= ((uint64(id^relation.NoID)-1)>>63 ^ 1) & 1 << uint(k)
-					p += st
-				}
-				sel[w] = word
-			}
-		}
-		idx = selIndexes(idx, sel[:], nb)
-		for _, k := range idx {
-			lj := lo + int(k)
-			var rj int32
-			if dense != nil {
-				rj = dense[pids[k]]
-			} else {
-				rj = -1
-				if h, ok := mapHeads[pids[k]]; ok {
-					rj = h
-				}
-			}
-			for ; rj >= 0; rj = next[rj] {
-				emit(lj, int(rj))
-			}
+			c.heads[k] = int32(r)
 		}
 	}
-	e.selIdx = idx[:0]
-	return nil
+	return c
 }
 
-// batchGroupSlots assigns every row its group slot in one block-at-a-time
-// pass, replacing the per-slot row lists with a flat rowSlot array plus
-// per-slot sizes. Slots are numbered in first-seen row order and firsts[s]
-// is the first row of slot s.
-// Returns a nil rowSlot when the grouping shape is not batchable (3+ key
-// columns); zero group columns means the single all-rows group.
-func (e *executor) batchGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, firsts []int, sizes []int32, err error) {
-	n := len(rs.rows)
-	st := len(rs.cols)
-	switch len(gidx) {
-	case 0:
-		rowSlot = make([]int32, n)
-		return rowSlot, []int{0}, []int32{int32(n)}, nil
-	case 1:
-		g := gidx[0]
-		rowSlot = make([]int32, n)
-		col := colView(rs, g)
-		if nd := rs.dicts[g].Len(); nd <= 4*n+1024 {
-			slotOf := make([]int32, nd)
-			for i := range slotOf {
-				slotOf[i] = -1
-			}
-			for b := 0; b*relation.BlockSize < n; b++ {
-				lo := b * relation.BlockSize
-				nb := n - lo
-				if nb > relation.BlockSize {
-					nb = relation.BlockSize
-				}
-				if err := e.stepN(nb); err != nil {
-					return nil, nil, nil, err
-				}
-				if col != nil {
-					for k, id := range col.Block(b) {
-						slot := slotOf[id]
-						if slot < 0 {
-							slot = int32(len(firsts))
-							slotOf[id] = slot
-							firsts = append(firsts, lo+k)
-							sizes = append(sizes, 0)
-						}
-						rowSlot[lo+k] = slot
-						sizes[slot]++
-					}
-				} else {
-					p := lo*st + g
-					for k := 0; k < nb; k++ {
-						id := rs.enc[p]
-						p += st
-						slot := slotOf[id]
-						if slot < 0 {
-							slot = int32(len(firsts))
-							slotOf[id] = slot
-							firsts = append(firsts, lo+k)
-							sizes = append(sizes, 0)
-						}
-						rowSlot[lo+k] = slot
-						sizes[slot]++
-					}
-				}
-			}
-			return rowSlot, firsts, sizes, nil
-		}
-		slots := make(map[uint32]int32)
-		for b := 0; b*relation.BlockSize < n; b++ {
-			lo := b * relation.BlockSize
-			nb := n - lo
-			if nb > relation.BlockSize {
-				nb = relation.BlockSize
-			}
-			if err := e.stepN(nb); err != nil {
-				return nil, nil, nil, err
-			}
-			for k := 0; k < nb; k++ {
-				var id uint32
-				if col != nil {
-					id = col.IDs[lo+k]
-				} else {
-					id = rs.enc[(lo+k)*st+g]
-				}
-				slot, ok := slots[id]
-				if !ok {
-					slot = int32(len(firsts))
-					slots[id] = slot
-					firsts = append(firsts, lo+k)
-					sizes = append(sizes, 0)
-				}
-				rowSlot[lo+k] = slot
-				sizes[slot]++
-			}
-		}
-		return rowSlot, firsts, sizes, nil
-	case 2:
-		g0, g1 := gidx[0], gidx[1]
-		rowSlot = make([]int32, n)
-		col0, col1 := colView(rs, g0), colView(rs, g1)
-		slots := make(map[uint64]int32)
-		for b := 0; b*relation.BlockSize < n; b++ {
-			lo := b * relation.BlockSize
-			nb := n - lo
-			if nb > relation.BlockSize {
-				nb = relation.BlockSize
-			}
-			if err := e.stepN(nb); err != nil {
-				return nil, nil, nil, err
-			}
-			for k := 0; k < nb; k++ {
-				ri := lo + k
-				var id0, id1 uint32
-				if col0 != nil {
-					id0, id1 = col0.IDs[ri], col1.IDs[ri]
-				} else {
-					id0, id1 = rs.enc[ri*st+g0], rs.enc[ri*st+g1]
-				}
-				key := uint64(id0) | uint64(id1)<<32
-				slot, ok := slots[key]
-				if !ok {
-					slot = int32(len(firsts))
-					slots[key] = slot
-					firsts = append(firsts, ri)
-					sizes = append(sizes, 0)
-				}
-				rowSlot[ri] = slot
-				sizes[slot]++
-			}
-		}
-		return rowSlot, firsts, sizes, nil
-	default:
-		return nil, nil, nil, nil
+// head returns the first build row with key k, or -1.
+func (c *chains) head(k uint32) int32 {
+	if c.dense != nil {
+		return c.dense[k]
 	}
+	if h, ok := c.heads[k]; ok {
+		return h
+	}
+	return -1
+}
+
+// probeKeys yields a hash join's probe keys in the build's key space, a
+// block at a time: precomputed per probe row (ids), or one key column
+// translated through remap — read from the column-major block when the probe
+// side is a pristine scan (col), else strided from the row-major IDs.
+type probeKeys struct {
+	ids     []uint32
+	col     *relation.ColData
+	enc     []uint32
+	st, off int
+	remap   []uint32
+}
+
+// block fills pids with the keys of probe rows [lo, lo+nb) and sel with the
+// mask of those that are not NoID.
+func (p *probeKeys) block(pids []uint32, sel []uint64, lo, nb int) {
+	pids = pids[:nb]
+	switch {
+	case p.ids != nil:
+		copy(pids, p.ids[lo:lo+nb])
+	case p.col != nil:
+		for k, id := range p.col.IDs[lo : lo+nb] {
+			pids[k] = p.remap[id]
+		}
+	default:
+		for k, q := 0, lo*p.st+p.off; k < nb; k, q = k+1, q+p.st {
+			pids[k] = p.remap[p.enc[q]]
+		}
+	}
+	neqBits(sel, pids, relation.NoID)
+}
+
+// probe is the hash join's probe and emit, in two passes over shard ranges
+// of the probe side (shard-parallel when the worker target allows). The
+// first counts each shard's matches from the chains' run lengths; a prefix
+// sum then fixes every shard's output offset, out's IDs are allocated once
+// at their exact size, and the second pass writes each match's left and
+// right IDs in place. Output order is ascending probe row, then ascending
+// build row, whatever the shard layout.
+func (e *executor) probe(left, right *rowset, pk *probeKeys, c *chains, out *rowset) error {
+	lst, rst := len(left.cols), len(right.cols)
+	width := lst + rst
+	n := left.n
+	offs := make([]int, shardsOf(n, e.shardSize())+1)
+	pass := func(fill bool) error {
+		return e.forEachShard(n, func(s, shLo, shHi int) error {
+			var sel [blockWords]uint64
+			var pids [relation.BlockSize]uint32
+			var idxBuf [relation.BlockSize]int32
+			o, matches := 0, 0
+			if fill {
+				o = offs[s] * width // fixed by the prefix sum between the passes
+			}
+			for lo := shLo; lo < shHi; lo += relation.BlockSize {
+				if err := e.pollCtx(); err != nil {
+					return err
+				}
+				nb := min(shHi-lo, relation.BlockSize)
+				pk.block(pids[:], sel[:], lo, nb)
+				for _, k := range selIndexes(idxBuf[:0], sel[:], nb) {
+					rj := c.head(pids[k])
+					if rj < 0 {
+						continue
+					}
+					if !fill {
+						matches += int(c.run[rj])
+						continue
+					}
+					lrow := left.row(lo + int(k))
+					for ; rj >= 0; rj = c.next[rj] {
+						copy(out.enc[o:o+lst], lrow)
+						copy(out.enc[o+lst:o+width], right.row(int(rj)))
+						o += width
+					}
+				}
+			}
+			if !fill {
+				offs[s+1] = matches
+			}
+			return nil
+		})
+	}
+	if err := pass(false); err != nil {
+		return err
+	}
+	for s := 1; s < len(offs); s++ {
+		offs[s] += offs[s-1]
+	}
+	out.n = offs[len(offs)-1]
+	out.enc = make([]uint32, out.n*width)
+	return pass(true)
+}
+
+// batchGroupSlots assigns every row its group slot in block-at-a-time
+// passes, replacing per-slot row lists with a flat rowSlot array plus
+// per-slot sizes. Slots are numbered in first-seen row order and firsts[s]
+// is the first row of slot s. Zero group columns means the single all-rows
+// group; the first column assigns slots by ID, and every further column
+// splits them (refineSlots).
+func (e *executor) batchGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, firsts []int, sizes []int32, err error) {
+	n := rs.n
+	st := len(rs.cols)
+	rowSlot = make([]int32, n)
+	if len(gidx) == 0 {
+		return rowSlot, []int{0}, []int32{int32(n)}, nil
+	}
+	// Row ri's first key is ids[ri*stride+off]: the column-major block of
+	// a pristine scan, else the row-major IDs.
+	g := gidx[0]
+	ids, stride, off := rs.enc, st, g
+	if col := colView(rs, g); col != nil {
+		ids, stride, off = col.IDs, 1, 0
+	}
+	var slotOf []int32
+	var slots map[uint32]int32
+	if nd := rs.dicts[g].Len(); nd <= 4*n+1024 {
+		slotOf = make([]int32, nd)
+		for i := range slotOf {
+			slotOf[i] = -1
+		}
+	} else {
+		slots = make(map[uint32]int32)
+	}
+	for lo := 0; lo < n; lo += relation.BlockSize {
+		hi := min(lo+relation.BlockSize, n)
+		if err := e.stepN(hi - lo); err != nil {
+			return nil, nil, nil, err
+		}
+		for ri := lo; ri < hi; ri++ {
+			k := ids[ri*stride+off]
+			slot, ok := int32(-1), false
+			if slotOf != nil {
+				slot = slotOf[k]
+				ok = slot >= 0
+			} else {
+				slot, ok = slots[k]
+			}
+			if !ok {
+				slot = int32(len(firsts))
+				if slotOf != nil {
+					slotOf[k] = slot
+				} else {
+					slots[k] = slot
+				}
+				firsts = append(firsts, ri)
+				sizes = append(sizes, 0)
+			}
+			rowSlot[ri] = slot
+			sizes[slot]++
+		}
+	}
+	for _, g := range gidx[1:] {
+		if firsts, sizes, err = e.refineSlots(rs, rowSlot, g); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return rowSlot, firsts, sizes, nil
+}
+
+// refineSlots splits every group slot by key column g, in place: the new
+// slots are keyed by (old slot, ID) and numbered in first-seen row order.
+func (e *executor) refineSlots(rs *rowset, rowSlot []int32, g int) (firsts []int, sizes []int32, err error) {
+	st := len(rs.cols)
+	slots := make(map[uint64]int32)
+	for lo := 0; lo < rs.n; lo += relation.BlockSize {
+		hi := min(lo+relation.BlockSize, rs.n)
+		if err := e.stepN(hi - lo); err != nil {
+			return nil, nil, err
+		}
+		for ri := lo; ri < hi; ri++ {
+			key := uint64(uint32(rowSlot[ri]))<<32 | uint64(rs.enc[ri*st+g])
+			slot, ok := slots[key]
+			if !ok {
+				slot = int32(len(firsts))
+				slots[key] = slot
+				firsts = append(firsts, ri)
+				sizes = append(sizes, 0)
+			}
+			rowSlot[ri] = slot
+			sizes[slot]++
+		}
+	}
+	return firsts, sizes, nil
 }
 
 // carveLists materializes the per-slot row lists from a slot assignment by
@@ -513,159 +532,4 @@ func carveLists(rowSlot []int32, sizes []int32) [][]int {
 		lists[s] = backing[offs[s]:offs[s+1]]
 	}
 	return lists
-}
-
-// nullFree reports whether column i of rs provably holds no NULL: it is
-// encoded and its dictionary never interned one. COUNT over such a column is
-// the group size.
-func nullFree(rs *rowset, i int) bool { return rs.encoded(i) && !rs.dicts[i].HasNull() }
-
-// simplePlan reports whether every select item is a group column or a
-// non-DISTINCT aggregate — the shapes batchAggregate folds columnar, in one
-// pass over the slot assignment, without materializing per-slot row lists.
-func simplePlan(plan []selItem) bool {
-	for _, s := range plan {
-		if s.agg && s.ex.Distinct {
-			return false
-		}
-	}
-	return true
-}
-
-// batchAggregate computes a simplePlan projection columnar: one pass per
-// aggregate over the rowSlot assignment, accumulating into per-slot state
-// (COUNT over a column whose dictionary holds no NULL is the group size).
-// Rows are visited in ascending order, so each slot sees its rows in exactly
-// the order the per-list fold would — COUNT, MIN/MAX (first non-null seed,
-// strict-compare replacement) and SUM/AVG (float fold with all-int tracking)
-// are value-identical to aggregate(). Output rows are emitted in slot
-// (first-seen) order, as the list path does.
-func (e *executor) batchAggregate(rs *rowset, plan []selItem, rowSlot []int32, firsts []int, sizes []int32, out *rowset) error {
-	n := len(rs.rows)
-	ns := len(firsts)
-	st := len(rs.cols)
-	cells := make([]relation.Value, ns*len(plan)) // column k of slot s at s*len(plan)+k
-	for k, s := range plan {
-		if !s.agg {
-			for slot := 0; slot < ns; slot++ {
-				cells[slot*len(plan)+k] = rs.rows[firsts[slot]][s.col]
-			}
-			continue
-		}
-		switch s.ex.Func {
-		case sqlast.AggCount:
-			counts := make([]int64, ns)
-			if nullFree(rs, s.col) {
-				for slot, sz := range sizes {
-					counts[slot] = int64(sz)
-				}
-			} else {
-				for lo := 0; lo < n; lo += relation.BlockSize {
-					if err := e.stepN(relation.BlockSize); err != nil {
-						return err
-					}
-					hi := lo + relation.BlockSize
-					if hi > n {
-						hi = n
-					}
-					for ri := lo; ri < hi; ri++ {
-						if !relation.Null(rs.rows[ri][s.col]) {
-							counts[rowSlot[ri]]++
-						}
-					}
-				}
-			}
-			for slot := 0; slot < ns; slot++ {
-				cells[slot*len(plan)+k] = relation.Int(counts[slot])
-			}
-		case sqlast.AggMin, sqlast.AggMax:
-			best := make([]relation.Value, ns)
-			for lo := 0; lo < n; lo += relation.BlockSize {
-				if err := e.stepN(relation.BlockSize); err != nil {
-					return err
-				}
-				hi := lo + relation.BlockSize
-				if hi > n {
-					hi = n
-				}
-				for ri := lo; ri < hi; ri++ {
-					v := rs.rows[ri][s.col]
-					if relation.Null(v) {
-						continue
-					}
-					slot := rowSlot[ri]
-					b := best[slot]
-					if b == nil {
-						best[slot] = v
-						continue
-					}
-					c := relation.Compare(v, b)
-					if (s.ex.Func == sqlast.AggMin && c < 0) || (s.ex.Func == sqlast.AggMax && c > 0) {
-						best[slot] = v
-					}
-				}
-			}
-			for slot := 0; slot < ns; slot++ {
-				cells[slot*len(plan)+k] = best[slot]
-			}
-		case sqlast.AggSum, sqlast.AggAvg:
-			sums := make([]float64, ns)
-			counts := make([]int64, ns)
-			notInt := make([]bool, ns)
-			for lo := 0; lo < n; lo += relation.BlockSize {
-				if err := e.stepN(relation.BlockSize); err != nil {
-					return err
-				}
-				hi := lo + relation.BlockSize
-				if hi > n {
-					hi = n
-				}
-				for ri := lo; ri < hi; ri++ {
-					v := rs.rows[ri][s.col]
-					if relation.Null(v) {
-						continue
-					}
-					f, ok := relation.AsFloat(v)
-					if !ok {
-						return fmt.Errorf("sqldb: %s over non-numeric value %v", s.ex.Func, v)
-					}
-					if _, isInt := v.(int64); !isInt {
-						notInt[rowSlot[ri]] = true
-					}
-					slot := rowSlot[ri]
-					sums[slot] += f
-					counts[slot]++
-				}
-			}
-			for slot := 0; slot < ns; slot++ {
-				if counts[slot] == 0 {
-					continue // NULL result, cell stays nil
-				}
-				switch {
-				case s.ex.Func == sqlast.AggAvg:
-					cells[slot*len(plan)+k] = relation.Float(sums[slot] / float64(counts[slot]))
-				case notInt[slot]:
-					cells[slot*len(plan)+k] = relation.Float(sums[slot])
-				default:
-					cells[slot*len(plan)+k] = relation.Int(int64(sums[slot]))
-				}
-			}
-		default:
-			return fmt.Errorf("sqldb: unknown aggregate %q", s.ex.Func)
-		}
-	}
-	out.rows = make([]relation.Tuple, 0, ns)
-	for slot := 0; slot < ns; slot++ {
-		out.rows = append(out.rows, relation.Tuple(cells[slot*len(plan):(slot+1)*len(plan):(slot+1)*len(plan)]))
-		if out.dicts != nil {
-			for k, s := range plan {
-				var id uint32
-				if out.dicts[k] != nil {
-					id = rs.enc[firsts[slot]*st+s.col]
-				}
-				out.enc = append(out.enc, id)
-			}
-		}
-	}
-	return nil
 }

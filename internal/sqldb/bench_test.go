@@ -292,8 +292,8 @@ func BenchmarkKernelFilter(b *testing.B) {
 		src := kernelSource(b, e, "T")
 		out, err := e.filterRows(src, pred)
 		// 256 full cycles of F plus the tail's one F=3.5 row.
-		if err == nil && len(out.rows) != kernelBenchRows/1024+1 {
-			b.Fatalf("filter kept %d rows", len(out.rows))
+		if err == nil && out.n != kernelBenchRows/1024+1 {
+			b.Fatalf("filter kept %d rows", out.n)
 		}
 		return err
 	})
@@ -316,8 +316,8 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 		out, err := e.join(left, right, eqs)
 		// 16 full key cycles emit 64 matches each; the 517-row tail covers
 		// keys 0..63 once more.
-		if err == nil && len(out.rows) != (kernelBenchRows/16384)*64+64 {
-			b.Fatalf("join emitted %d rows", len(out.rows))
+		if err == nil && out.n != (kernelBenchRows/16384)*64+64 {
+			b.Fatalf("join emitted %d rows", out.n)
 		}
 		return err
 	})
@@ -325,10 +325,8 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 
 // BenchmarkKernelJoinEmit isolates the join *emission* path: W covers every
 // one of T's 16384 join keys exactly once, so every probe hits and the
-// benchmark is dominated by carving output tuples out of arena blocks
-// (~hundreds of ns per match when emission allocates per row; the arena
-// amortizes that to one allocation per tupleArenaValues values, and the
-// sharded path materializes at prefix-summed offsets with no append growth).
+// benchmark is dominated by writing the matches' IDs, which both paths
+// place at prefix-summed offsets in one exactly sized allocation.
 // Throughput is reported as emitted matches per second.
 func BenchmarkKernelJoinEmit(b *testing.B) {
 	db := kernelDB()
@@ -341,8 +339,8 @@ func BenchmarkKernelJoinEmit(b *testing.B) {
 		left := kernelSource(b, e, "T")
 		right := kernelSource(b, e, "W")
 		out, err := e.join(left, right, eqs)
-		if err == nil && len(out.rows) != kernelBenchRows {
-			b.Fatalf("emit join produced %d rows", len(out.rows))
+		if err == nil && out.n != kernelBenchRows {
+			b.Fatalf("emit join produced %d rows", out.n)
 		}
 		return err
 	})
@@ -350,10 +348,12 @@ func BenchmarkKernelJoinEmit(b *testing.B) {
 
 // TestJoinEmitAllocs pins the emit path's allocation amortization: the
 // every-probe-hits join from BenchmarkKernelJoinEmit must stay far below one
-// allocation per emitted match on both the sequential batch path (arena
-// carving) and the shard-parallel path (prefix-sum preallocation). A
-// regression to per-row tuple boxing trips the 0.02 allocs/match budget by
-// 50x.
+// allocation per emitted match, and at 4 bytes per output cell plus a fixed
+// slack for the build side, on both the sequential batch path and the
+// shard-parallel path (both count the matches first and allocate the output
+// IDs once). A regression to per-row tuple boxing trips the 0.02 allocs/match
+// budget by 50x; carrying boxed values beside the IDs (a 16-byte interface
+// per cell and a 24-byte row header) trips the byte budget about fivefold.
 func TestJoinEmitAllocs(t *testing.T) {
 	db := kernelDB()
 	eqs := []sqlast.JoinPred{{
@@ -390,8 +390,8 @@ func TestJoinEmitAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(out.rows) != kernelBenchRows {
-				t.Fatalf("emit join produced %d rows", len(out.rows))
+			if out.n != kernelBenchRows {
+				t.Fatalf("emit join produced %d rows", out.n)
 			}
 		}
 		runtime.ReadMemStats(&after)
@@ -399,6 +399,12 @@ func TestJoinEmitAllocs(t *testing.T) {
 		if per := allocs / float64(kernelBenchRows); per > 0.02 {
 			t.Errorf("%s: join emitted %d matches in %.0f allocs (%.4f allocs/match, budget 0.02)",
 				mode.name, kernelBenchRows, allocs, per)
+		}
+		const slack = 1 << 20
+		cells := kernelBenchRows * (len(left.cols) + len(right.cols))
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > uint64(4*cells+slack) {
+			t.Errorf("%s: join emitted %d cells in %d bytes, budget 4 bytes per cell plus %d",
+				mode.name, cells, bytes, slack)
 		}
 	}
 }

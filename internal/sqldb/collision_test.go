@@ -10,7 +10,7 @@ import (
 // column values joined with a "\x1f" separator — would alias: ("a\x1fb", "c")
 // and ("a", "b\x1fc") both rendered as "a\x1fb\x1fc". The length-prefixed and
 // dictionary-ID keys must keep them apart.
-func collisionDB(freeze bool) *relation.Database {
+func collisionDB() *relation.Database {
 	db := relation.NewDatabase("collision")
 	tt := db.AddSchema(relation.NewSchema("T", "A", "B", "N INT").Key("A", "B"))
 	tt.MustInsert("a\x1fb", "c", int64(1))
@@ -18,31 +18,24 @@ func collisionDB(freeze bool) *relation.Database {
 	tt.MustInsert("a\x1fb", "c", int64(3)) // true duplicate of row 1's key
 	uu := db.AddSchema(relation.NewSchema("U", "A", "B", "M INT").Key("A", "B"))
 	uu.MustInsert("a\x1fb", "c", int64(10))
-	if freeze {
-		db.Freeze()
-	}
+	db.Freeze()
 	return db
 }
 
-// collisionExecs runs sql over both frozen (dictionary-encoded) and
-// unfrozen (formatted-key) data and hands each result to check.
+// collisionExecs runs sql over the frozen data and hands the result to
+// check.
 func collisionExecs(t *testing.T, sql string, check func(t *testing.T, path string, res *Result)) {
 	t.Helper()
 	q, err := Parse(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	for _, tc := range []struct {
-		path   string
-		freeze bool
-	}{{"encoded", true}, {"unfrozen", false}} {
-		res, err := execQuery(collisionDB(tc.freeze), q)
-		if err != nil {
-			t.Fatalf("%s [%s]: %v", sql, tc.path, err)
-		}
-		res.SortRows()
-		check(t, tc.path, res)
+	res, err := execQuery(collisionDB(), q)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
 	}
+	res.SortRows()
+	check(t, "encoded", res)
 }
 
 func TestGroupByKeySeparatorCollision(t *testing.T) {

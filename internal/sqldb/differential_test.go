@@ -1,17 +1,14 @@
 // Differential suite for the executor against the brute-force reference
-// evaluator (refExec, an independent nested-loop engine): every query the
-// seed workloads generate must produce the same sorted answers three ways — the
-// executor over the frozen database (dictionary encoding, batch kernels),
-// the executor over an unfrozen copy (formatted-key hashing, the path
-// computed columns take), and the reference. This file is an external test
-// package because it drives the executor through internal/experiments,
-// which itself imports sqldb.
+// evaluator (refExec, an independent nested-loop engine over the stored
+// tuples): every query the seed workloads generate must produce the same
+// sorted answers from the executor over the frozen database and from the
+// reference. This file is an external test package because it drives the
+// executor through internal/experiments, which itself imports sqldb.
 package sqldb_test
 
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"kwagg"
@@ -29,57 +26,29 @@ func execQuery(db *relation.Database, q *sqlast.Query) (*sqldb.Result, error) {
 	return res, err
 }
 
-// unfrozenCopy rebuilds db's tables, sharing their tuples, without freezing
-// them: the copy carries no dictionaries, so every hash path keys on
-// formatted values.
-func unfrozenCopy(t *testing.T, db *relation.Database) *relation.Database {
+// diffReference executes one statement over the frozen database and
+// through the reference evaluator, and fails unless the reference agrees
+// with the executor (see refDiff: float cells within a relative epsilon,
+// every other cell exactly).
+func diffReference(t *testing.T, db *relation.Database, label string, q *sqlast.Query) {
 	t.Helper()
-	out := relation.NewDatabase(db.Name)
-	for _, tb := range db.Tables() {
-		nt := relation.NewTable(tb.Schema.Clone())
-		if err := nt.AppendShared(tb.Tuples); err != nil {
-			t.Fatal(err)
-		}
-		out.Add(nt)
-	}
-	return out
-}
-
-// diffThreeWay executes one statement over the frozen database, over its
-// unfrozen copy and through the reference evaluator, and fails unless the
-// two executions are value-identical after sorting and the reference agrees
-// with them (see refDiff: float cells within a relative epsilon, every
-// other cell exactly).
-func diffThreeWay(t *testing.T, frozen, unfrozen *relation.Database, label string, q *sqlast.Query) {
-	t.Helper()
-	encoded, err := execQuery(frozen, q)
+	encoded, err := execQuery(db, q)
 	if err != nil {
-		t.Fatalf("%s: exec (frozen): %v", label, err)
+		t.Fatalf("%s: exec: %v", label, err)
 	}
-	formatted, err := execQuery(unfrozen, q)
-	if err != nil {
-		t.Fatalf("%s: exec (unfrozen): %v", label, err)
-	}
-	reference, err := sqldb.RefExec(frozen, q)
+	reference, err := sqldb.RefExec(db, q)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
-	}
-	encoded.SortRows()
-	formatted.SortRows()
-	if !reflect.DeepEqual(encoded, formatted) {
-		t.Errorf("%s: frozen diverged from unfrozen:\nSQL: %s\nfrozen:   %+v\nunfrozen: %+v",
-			label, q, encoded, formatted)
 	}
 	if d := sqldb.RefDiff(encoded, reference); d != "" {
 		t.Errorf("%s: executor diverged from reference:\nSQL: %s\n%s", label, q, d)
 	}
 }
 
-// diffQueries runs every interpretation of every keyword query three ways
-// (see diffThreeWay) and compares the sorted results.
+// diffQueries runs every interpretation of every keyword query against the
+// reference (see diffReference).
 func diffQueries(t *testing.T, s *experiments.Setup, queries []experiments.Query) {
 	t.Helper()
-	unfrozen := unfrozenCopy(t, s.Ours.Data)
 	interpretations := 0
 	for _, q := range queries {
 		ins, err := s.Ours.Interpret(q.Keywords, 0)
@@ -87,11 +56,11 @@ func diffQueries(t *testing.T, s *experiments.Setup, queries []experiments.Query
 			t.Fatalf("%s %s: %v", q.ID, q.Keywords, err)
 		}
 		for _, in := range ins {
-			diffThreeWay(t, s.Ours.Data, unfrozen, q.ID, in.SQL)
+			diffReference(t, s.Ours.Data, q.ID, in.SQL)
 			interpretations++
 		}
 	}
-	t.Logf("%s: %d interpretations compared three ways", s.Label, interpretations)
+	t.Logf("%s: %d interpretations compared with the reference", s.Label, interpretations)
 }
 
 func TestDifferentialUniversity(t *testing.T) {
@@ -143,8 +112,9 @@ func TestDifferentialACMDLUnnormalized(t *testing.T) {
 
 // TestDifferentialDatasetWorkloadsThreeWay replays every bundled dataset
 // workload (kwagg.DatasetWorkloads, the same map the chaos and plan-verifier
-// suites iterate) and checks that each interpretation's answer set is
-// the same three ways (see diffThreeWay).
+// suites iterate) and checks each interpretation's answer set against the
+// reference (see diffReference). The name predates the removal of the
+// executor's unfrozen leg, which compared the engine with itself.
 func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 	setups := map[string]func() (*experiments.Setup, error){
 		"university":   experiments.NewUniversity,
@@ -165,7 +135,6 @@ func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unfrozen := unfrozenCopy(t, s.Ours.Data)
 			interpretations := 0
 			for _, kw := range queries {
 				ins, err := s.Ours.Interpret(kw, 0)
@@ -173,19 +142,19 @@ func TestDifferentialDatasetWorkloadsThreeWay(t *testing.T) {
 					t.Fatalf("%s: %v", kw, err)
 				}
 				for _, in := range ins {
-					diffThreeWay(t, s.Ours.Data, unfrozen, name+"/"+kw, in.SQL)
+					diffReference(t, s.Ours.Data, name+"/"+kw, in.SQL)
 					interpretations++
 				}
 			}
-			t.Logf("%s: %d interpretations compared three ways", name, interpretations)
+			t.Logf("%s: %d interpretations compared with the reference", name, interpretations)
 		})
 	}
 }
 
 // TestDifferentialEqualityCorners hand-builds rows around equality's edge
 // cases — NULLs, a literal "NULL" string (which must not match NULL rows),
-// int vs float constants, 0 vs -0 — and checks the three ways agree on
-// direct equality filters.
+// int vs float constants, 0 vs -0 — and checks the executor agrees with the
+// reference on direct equality filters.
 func TestDifferentialEqualityCorners(t *testing.T) {
 	db := relation.NewDatabase("corners")
 	item := db.AddSchema(relation.NewSchema("Item", "Id", "Name", "Qty INT", "Price FLOAT").Key("Id"))
@@ -196,7 +165,6 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 	item.MustInsert("i5", "widget", int64(5), 1.5)
 	item.MustInsert("i6", "widget", int64(0), 0.0)
 	item.MustInsert("i7", "widget", int64(0), math.Copysign(0, -1)) // negative zero
-	unfrozen := unfrozenCopy(t, db)
 	db.Freeze()
 
 	for _, sql := range []string{
@@ -209,10 +177,10 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 		// unmatched constant: empty either way
 		"SELECT I.Id FROM Item I WHERE I.Qty = 99",
 		// float constant: not indexable, but the dictionary-ID kernel path
-		// answers it and all three must agree
+		// answers it and the reference must agree
 		"SELECT I.Id FROM Item I WHERE I.Price = 1.5",
 		// float zero through the kernel path: 0 and -0 share a dictionary
-		// ID, so rows i6 and i7 both match every way
+		// ID, so rows i6 and i7 both match
 		"SELECT I.Id FROM Item I WHERE I.Price = 0.0",
 		// int zero through the value index: the same ID, the same two rows
 		"SELECT I.Id FROM Item I WHERE I.Price = 0",
@@ -221,7 +189,7 @@ func TestDifferentialEqualityCorners(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		diffThreeWay(t, db, unfrozen, sql, q)
+		diffReference(t, db, sql, q)
 	}
 
 	// Pin the specific trap: Format(nil) == "NULL" == Format("NULL"), yet

@@ -83,28 +83,32 @@ type boundCol struct {
 	name  string
 }
 
+// rowset is an intermediate result in its only representation: dictionary
+// IDs. Column i has dictionary dicts[i] — a frozen table's column
+// dictionary, or for a computed column (an aggregate output) a per-result
+// dictionary built at projection (relation.EncodeColumn) — and enc holds the
+// n rows' IDs row-major with stride len(cols). Values are decoded once, when
+// the outermost projection builds the Result (see decode).
 type rowset struct {
-	cols []boundCol
-	rows []relation.Tuple
-	// base is the table this rowset scans when rows is exactly base.Tuples
-	// (no filter or join applied yet); equality filters on such a pristine
-	// scan can use the table's value index. nil otherwise.
-	base *relation.Table
-	// Dictionary encoding carried alongside rows when the source tables are
-	// frozen: dicts[i] is column i's dictionary (a nil entry marks an
-	// unencoded column, e.g. an aggregate output; a nil slice means the
-	// rowset carries no encoding at all) and enc holds the IDs row-major
-	// with stride len(cols). Cells of unencoded columns are meaningless
-	// zeros. Invariant: enc is maintained exactly when dicts is non-nil.
+	cols  []boundCol
 	dicts []*relation.Dict
 	enc   []uint32
+	n     int
+	// base is the table this rowset scans when its rows are exactly the
+	// table's, in order (no filter or join applied yet): equality filters
+	// on such a pristine scan can use the table's value index, and the
+	// kernels its column-major encoding. nil otherwise.
+	base *relation.Table
 	// key is the canonical subplan identity used by the memo; empty when
 	// the rowset is not a cacheable fragment or no memo is attached.
 	key string
 }
 
-// encoded reports whether column i carries dictionary IDs in enc.
-func (rs *rowset) encoded(i int) bool { return i < len(rs.dicts) && rs.dicts[i] != nil }
+// row returns row ri's IDs.
+func (rs *rowset) row(ri int) []uint32 {
+	st := len(rs.cols)
+	return rs.enc[ri*st : (ri+1)*st]
+}
 
 // resolve returns the position of c in the rowset, or -1. Unqualified names
 // must be unambiguous.
@@ -139,32 +143,6 @@ func (rs *rowset) has(c sqlast.Col) bool {
 	return n == 1
 }
 
-// appendHashKey appends an injective hash key for the given columns of row
-// ri: a fixed 4-byte dictionary ID for encoded columns, the canonical
-// relation.AppendKey otherwise. Two rows of the same rowset get equal keys
-// exactly when every selected column pair shares a dictionary ID (NULL
-// with NULL), so grouping and DISTINCT agree on both halves.
-//
-// The AppendKey half (here, appendJoinKey and the string-keyed DISTINCT
-// aggregate) is needed only for columns that carry no dictionary: computed
-// aggregate outputs, which a derived table can feed into an outer GROUP BY,
-// DISTINCT or join, and tables of a database that was never frozen.
-func (rs *rowset) appendHashKey(buf []byte, ri int, idx []int) []byte {
-	st := len(rs.cols)
-	for _, i := range idx {
-		if rs.encoded(i) {
-			buf = appendLE32(buf, rs.enc[ri*st+i])
-		} else {
-			buf = relation.AppendKey(buf, rs.rows[ri][i])
-		}
-	}
-	return buf
-}
-
-func appendLE32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
 type executor struct {
 	db   *relation.Database
 	ctx  context.Context // non-nil only when cancellable (see ExecOpts)
@@ -188,11 +166,10 @@ type executor struct {
 
 	// Batch-kernel scratch, reused across operators of one statement (the
 	// executor is single-goroutine and never reentrant within an operator):
-	// the whole-input selection bitset, the packed per-block selection
-	// indexes, and the per-block translated probe IDs.
+	// the whole-input selection bitset and the packed per-block selection
+	// indexes.
 	selBits []uint64
 	selIdx  []int32
-	pids    []uint32
 }
 
 // rowCheckInterval bounds how many rows a loop may touch between context
@@ -228,19 +205,41 @@ func (e *executor) query(q *sqlast.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(rs.cols))
+	return decode(rs, len(q.GroupBy) > 0 && !q.Distinct), nil
+}
+
+// decode builds the Result of the outermost query, the one place the
+// executor boxes values: every ID decodes to its dictionary's first-seen
+// value, into one allocation for all cells and one for the row headers. An
+// empty GROUP BY result keeps nil Rows and every other empty result an
+// empty slice, which callers that serialize Rows (JSON null against [])
+// can tell apart.
+func decode(rs *rowset, grouped bool) *Result {
+	nc := len(rs.cols)
+	res := &Result{Columns: make([]string, nc)}
 	for i, bc := range rs.cols {
-		cols[i] = bc.name
+		res.Columns[i] = bc.name
 	}
-	return &Result{Columns: cols, Rows: rs.rows}, nil
+	if rs.n == 0 && grouped {
+		return res
+	}
+	cells := make([]relation.Value, rs.n*nc)
+	res.Rows = make([]relation.Tuple, rs.n)
+	for ri := range res.Rows {
+		row := relation.Tuple(cells[ri*nc : (ri+1)*nc : (ri+1)*nc])
+		for k, id := range rs.row(ri) {
+			row[k] = rs.dicts[k].Value(id)
+		}
+		res.Rows[ri] = row
+	}
+	return res
 }
 
 // queryRowset evaluates q into a rowset. topLevel marks the outermost query
-// of a statement: its projected rowset becomes the Result directly, so
-// building an output encoding would be wasted work unless DISTINCT still
-// needs hash keys. pushes restrict q's output columns (a semi-join reduction
-// handed down by the enclosing query, see semijoin.go); plan, when non-nil,
-// records how the FROM list was evaluated (Explain).
+// of a statement, whose join order is kept for tests. pushes restrict q's
+// output columns (a semi-join reduction handed down by the enclosing query,
+// see semijoin.go); plan, when non-nil, records how the FROM list was
+// evaluated (Explain).
 func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush, plan *Plan) (*rowset, error) {
 	fl, err := e.evalFrom(q, pushes, plan)
 	if err != nil {
@@ -288,23 +287,25 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush
 	if err := e.checkpoint(); err != nil {
 		return nil, err
 	}
-	res, err := e.project(acc, q, !topLevel || q.Distinct)
+	order, err := orderColumns(acc, q)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.project(acc, q)
 	if err != nil {
 		return nil, err
 	}
 	if q.Distinct {
-		res = distinctRowset(res)
-	}
-	if len(q.OrderBy) > 0 {
-		if err := orderByRowset(res, q.OrderBy); err != nil {
+		if res, err = e.distinctRowset(res); err != nil {
 			return nil, err
 		}
 	}
-	if q.Limit > 0 && len(res.rows) > q.Limit {
-		res.rows = res.rows[:q.Limit]
-		if res.enc != nil {
-			res.enc = res.enc[:q.Limit*len(res.cols)]
-		}
+	if len(order) > 0 {
+		orderRowset(res, order, q.OrderBy)
+	}
+	if q.Limit != nil && *q.Limit >= 0 && res.n > *q.Limit { // a negative LIMIT, as in SQLite, is none
+		res.n = *q.Limit
+		res.enc = res.enc[:res.n*len(res.cols)]
 	}
 	return res, nil
 }
@@ -454,10 +455,10 @@ func (e *executor) evalFrom(q *sqlast.Query, pushes []semiPush, plan *Plan) (*fr
 	for {
 		best, bestRows := -1, 0
 		for _, ed := range edges {
-			if fl.sources[ed.to] != nil || !restricted[ed.from] || !fl.sources[ed.from].encoded(ed.fromCol) {
+			if fl.sources[ed.to] != nil || !restricted[ed.from] {
 				continue
 			}
-			rows := len(fl.sources[ed.from].rows)
+			rows := fl.sources[ed.from].n
 			if best < 0 || rows < bestRows || (rows == bestRows && ed.to < best) {
 				best, bestRows = ed.to, rows
 			}
@@ -538,7 +539,7 @@ type joinStep struct {
 func joinOrder(q *sqlast.Query, sources []*rowset, consumed []bool) (int, []joinStep) {
 	start := 0
 	for i := 1; i < len(sources); i++ {
-		if len(sources[i].rows) < len(sources[start].rows) {
+		if sources[i].n < sources[start].n {
 			start = i
 		}
 	}
@@ -574,13 +575,13 @@ func joinOrder(q *sqlast.Query, sources []*rowset, consumed []bool) (int, []join
 			if !connects(sources[idx]) {
 				continue
 			}
-			if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
+			if pick < 0 || sources[idx].n < sources[pick].n {
 				pick, pickPos = idx, pos
 			}
 		}
 		if pick < 0 {
 			for pos, idx := range remaining {
-				if pick < 0 || len(sources[idx].rows) < len(sources[pick].rows) {
+				if pick < 0 || sources[idx].n < sources[pick].n {
 					pick, pickPos = idx, pos
 				}
 			}
@@ -653,9 +654,9 @@ func (e *executor) source(tr sqlast.TableRef, cols []boundCol, pushes []semiPush
 			return nil, err
 		}
 		// Rebind the subquery's output columns under the FROM alias on a
-		// fresh rowset: the underlying rows may be shared through the memo
+		// fresh rowset: the underlying IDs may be shared through the memo
 		// and must never be mutated.
-		rs := &rowset{cols: cols, rows: sub.rows, dicts: sub.dicts, enc: sub.enc}
+		rs := &rowset{cols: cols, dicts: sub.dicts, enc: sub.enc, n: sub.n}
 		if key != "" {
 			rs.key = key + "|as:" + strings.ToLower(tr.Alias)
 		}
@@ -665,10 +666,11 @@ func (e *executor) source(tr sqlast.TableRef, cols []boundCol, pushes []semiPush
 	if t == nil {
 		return nil, fmt.Errorf("sqldb: unknown relation %q", tr.Name)
 	}
-	rs := &rowset{cols: cols, rows: t.Tuples, base: t}
-	if dicts, enc, ok := t.Encoding(); ok {
-		rs.dicts, rs.enc = dicts, enc
+	dicts, enc, ok := t.Encoding()
+	if !ok {
+		return nil, fmt.Errorf("sqldb: relation %q is not frozen; freeze the database before executing", t.Schema.Name)
 	}
+	rs := &rowset{cols: cols, dicts: dicts, enc: enc, n: t.Len(), base: t}
 	if e.memo != nil {
 		rs.key = "scan|" + strings.ToLower(tr.Name) + "|" + strings.ToLower(tr.Alias)
 	}
@@ -716,214 +718,165 @@ func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
 	if rs.key != "" {
 		out.key = rs.key + "|f:" + p.String()
 	}
-	st := len(rs.cols)
-	emit := func(ri int) {
-		out.rows = append(out.rows, rs.rows[ri])
-		if out.dicts != nil {
-			out.enc = append(out.enc, rs.enc[ri*st:(ri+1)*st]...)
-		}
-	}
+	var (
+		sel []uint64
+		err error
+	)
 	switch pp := p.(type) {
 	case sqlast.ComparePred:
-		i, err := rs.resolve(pp.Col)
-		if err != nil {
+		var i int
+		if i, err = rs.resolve(pp.Col); err != nil {
 			return nil, err
+		}
+		if pp.Op != sqlast.OpEq {
+			sel, err = e.selectEntries(rs, i, func(v relation.Value) bool {
+				return holds(pp.Op, relation.Compare(v, pp.Value))
+			})
+			break
+		}
+		// Equality selects one dictionary ID, which ID never returns for
+		// NULL, so NULL rows never match.
+		id, ok := rs.dicts[i].ID(pp.Value)
+		if !ok {
+			return out, nil
 		}
 		if indexableEq(rs, p) {
 			// Index lookup instead of a scan: the value index's postings of
-			// the constant's dictionary ID are exactly the matching rows, in
-			// ascending order, so scan order is preserved.
-			for _, ri := range rs.base.Lookup(rs.cols[i].name, pp.Value) {
-				emit(ri)
-			}
-			return out, nil
+			// the ID are exactly the matching rows, in ascending order, so
+			// scan order is preserved.
+			return out, e.gatherRows(rs, rs.base.LookupID(i, id), out)
 		}
-		if pp.Op == sqlast.OpEq && rs.encoded(i) {
-			// Encoded equality on a derived rowset (post-filter, post-join or
-			// subquery output) or with a float constant: a branch-free
-			// per-block kernel compares dictionary IDs into the selection
-			// bitset, then the gather emits only the selected rows,
-			// preallocated to the match count. NULL rows hold NullID, which
-			// ID never returns, so they never match.
-			id, ok := rs.dicts[i].ID(pp.Value)
-			if !ok {
-				return out, nil
-			}
-			sel, err := e.fillFilterBits(rs, i, id, nil)
-			if err != nil {
-				return nil, err
-			}
-			return out, e.gatherSelected(rs, sel, out)
-		}
-		for ri, row := range rs.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			if relation.Null(row[i]) {
-				continue
-			}
-			c := relation.Compare(row[i], pp.Value)
-			keep := false
-			switch pp.Op {
-			case sqlast.OpEq:
-				keep = c == 0
-			case sqlast.OpNe:
-				keep = c != 0
-			case sqlast.OpLt:
-				keep = c < 0
-			case sqlast.OpLe:
-				keep = c <= 0
-			case sqlast.OpGt:
-				keep = c > 0
-			case sqlast.OpGe:
-				keep = c >= 0
-			}
-			if keep {
-				emit(ri)
-			}
-		}
+		// Elsewhere (post-filter, post-join or subquery output, or a float
+		// constant) a branch-free per-block kernel compares IDs into the
+		// selection bitset.
+		sel, err = e.fillFilterBits(rs, i, id, nil)
 	case sqlast.ContainsPred:
-		i, err := rs.resolve(pp.Col)
-		if err != nil {
+		var i int
+		if i, err = rs.resolve(pp.Col); err != nil {
 			return nil, err
 		}
-		if rs.encoded(i) && rs.dicts[i].AllStrings() && rs.dicts[i].Len() <= len(rs.rows) {
-			// Evaluate the substring match once per dictionary entry instead
-			// of once per row (Dict.ContainsFold): the per-row pass is a
-			// branch-free bit lookup into the per-entry answers. Sound when
-			// every non-NULL value is a string; NULL rows hold NullID, whose
-			// bit is never set.
-			sel, err := e.fillFilterBits(rs, i, 0, rs.dicts[i].ContainsFold(pp.Needle))
-			if err != nil {
-				return nil, err
-			}
-			return out, e.gatherSelected(rs, sel, out)
-		}
-		for ri, row := range rs.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			s, ok := row[i].(string)
-			if ok && relation.ContainsFold(s, pp.Needle) {
-				emit(ri)
-			}
-		}
+		sel, err = e.selectEntries(rs, i, func(v relation.Value) bool {
+			s, ok := v.(string)
+			return ok && relation.ContainsFold(s, pp.Needle)
+		})
 	case sqlast.JoinPred:
-		li, err := rs.resolve(pp.Left)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := rs.resolve(pp.Right)
-		if err != nil {
-			return nil, err
-		}
-		for rowi, row := range rs.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			if !relation.Null(row[li]) && relation.Equal(row[li], row[ri]) {
-				emit(rowi)
-			}
-		}
+		sel, err = e.selectColumns(rs, pp.Left, sqlast.OpEq, pp.Right)
 	case sqlast.ColComparePred:
-		li, err := rs.resolve(pp.Left)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := rs.resolve(pp.Right)
-		if err != nil {
-			return nil, err
-		}
-		for rowi, row := range rs.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			if relation.Null(row[li]) || relation.Null(row[ri]) {
-				continue
-			}
-			c := relation.Compare(row[li], row[ri])
-			keep := false
-			switch pp.Op {
-			case sqlast.OpEq:
-				keep = c == 0
-			case sqlast.OpNe:
-				keep = c != 0
-			case sqlast.OpLt:
-				keep = c < 0
-			case sqlast.OpLe:
-				keep = c <= 0
-			case sqlast.OpGt:
-				keep = c > 0
-			case sqlast.OpGe:
-				keep = c >= 0
-			}
-			if keep {
-				emit(rowi)
-			}
-		}
+		sel, err = e.selectColumns(rs, pp.Left, pp.Op, pp.Right)
 	default:
 		return nil, fmt.Errorf("sqldb: unsupported predicate %T", p)
 	}
-	return out, nil
+	if err != nil {
+		return nil, err
+	}
+	return out, e.gatherSelected(rs, sel, out)
 }
 
-// join combines two rowsets. With equality predicates it hash-joins —
-// over dictionary IDs when every key column is encoded (a per-column
-// translation table bridges the two sides' ID spaces), over length-prefixed
-// formatted keys when some key column has no dictionary (see
-// appendHashKey). Without predicates it produces the cross product.
+// holds reports whether a comparison result c satisfies op.
+func holds(op sqlast.CmpOp, c int) bool {
+	switch op {
+	case sqlast.OpEq:
+		return c == 0
+	case sqlast.OpNe:
+		return c != 0
+	case sqlast.OpLt:
+		return c < 0
+	case sqlast.OpLe:
+		return c <= 0
+	case sqlast.OpGt:
+		return c > 0
+	case sqlast.OpGe:
+		return c >= 0
+	}
+	return false
+}
+
+// selectEntries fills the selection bitset of the rows of rs whose column i
+// holds a dictionary entry keep accepts, judged by the entry's stored value;
+// NullID is never selected. When the dictionary is no larger than the
+// rowset, keep runs once per entry (Dict.Select) and the rows are selected
+// by a branch-free lookup into the per-entry answers. Otherwise it runs once
+// per row on the decoded entry, so a small rowset over a large column does
+// not pay for the whole dictionary.
+func (e *executor) selectEntries(rs *rowset, i int, keep func(relation.Value) bool) ([]uint64, error) {
+	d := rs.dicts[i]
+	if d.Len() <= rs.n {
+		return e.fillFilterBits(rs, i, 0, d.Select(keep))
+	}
+	sel := e.ensureBits((rs.n + 63) / 64)
+	clear(sel)
+	st := len(rs.cols)
+	for ri := 0; ri < rs.n; ri++ {
+		if err := e.step(); err != nil {
+			return nil, err
+		}
+		if id := rs.enc[ri*st+i]; id != relation.NullID && keep(d.Value(id)) {
+			sel[ri>>6] |= 1 << (uint(ri) & 63)
+		}
+	}
+	return sel, nil
+}
+
+// selectColumns fills the selection bitset of the rows of rs where column l
+// compares to column r by op; a NULL on either side never passes. Equality
+// compares IDs through the remap from l's dictionary into r's, as the hash
+// join does; the other operators compare the decoded entries.
+func (e *executor) selectColumns(rs *rowset, lc sqlast.Col, op sqlast.CmpOp, rc sqlast.Col) ([]uint64, error) {
+	l, err := rs.resolve(lc)
+	if err != nil {
+		return nil, err
+	}
+	r, err := rs.resolve(rc)
+	if err != nil {
+		return nil, err
+	}
+	sel := e.ensureBits((rs.n + 63) / 64)
+	clear(sel)
+	st := len(rs.cols)
+	var remap []uint32
+	if op == sqlast.OpEq {
+		remap = rs.dicts[l].RemapCached(rs.dicts[r])
+	}
+	for ri := 0; ri < rs.n; ri++ {
+		if err := e.step(); err != nil {
+			return nil, err
+		}
+		a, b := rs.enc[ri*st+l], rs.enc[ri*st+r]
+		var keep bool
+		if remap != nil {
+			keep = remap[a] == b // NullID remaps to NoID, which no cell holds
+		} else {
+			keep = a != relation.NullID && b != relation.NullID &&
+				holds(op, relation.Compare(rs.dicts[l].Value(a), rs.dicts[r].Value(b)))
+		}
+		if keep {
+			sel[ri>>6] |= 1 << (uint(ri) & 63)
+		}
+	}
+	return sel, nil
+}
+
+// join combines two rowsets. With equality predicates it hash-joins over
+// dictionary IDs: the build side (right) is threaded into chains per key,
+// and each probe row's key is translated into the build's ID space through
+// a remap table (one key column) or folded into a composite key number
+// (several, see compositeKeys). Without predicates it produces the cross
+// product.
 func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, error) {
-	lst, rst := len(left.cols), len(right.cols)
-	out := &rowset{cols: make([]boundCol, 0, lst+rst)}
+	width := len(left.cols) + len(right.cols)
+	out := &rowset{cols: make([]boundCol, 0, width), dicts: make([]*relation.Dict, 0, width)}
 	out.cols = append(append(out.cols, left.cols...), right.cols...)
-	if left.dicts != nil || right.dicts != nil {
-		out.dicts = make([]*relation.Dict, lst+rst)
-		copy(out.dicts[:lst], left.dicts)
-		copy(out.dicts[lst:], right.dicts)
-	}
-	var chunk []uint32 // scratch encoded output row, appended per emit
-	if out.dicts != nil {
-		chunk = make([]uint32, lst+rst)
-	}
-	// Output tuples are carved out of arena blocks instead of allocated one
-	// per output row. Blocks double from 64 rows' worth up to
-	// tupleArenaValues values, so a small result — most joins over semi-join
-	// reduced derived tables — does not allocate, or pin in the memo, a
-	// whole large block. Earlier blocks stay referenced by the tuples sliced
-	// from them, and every tuple is capacity-capped so a consumer's append
-	// cannot bleed into a neighbor.
-	var arena []relation.Value
-	width := lst + rst
-	emit := func(li, ri int) {
-		if len(arena)+width > cap(arena) {
-			c := min(max(2*cap(arena), 64*width), tupleArenaValues)
-			arena = make([]relation.Value, 0, max(c, width))
-		}
-		off := len(arena)
-		arena = arena[:off+width]
-		t := relation.Tuple(arena[off : off+width : off+width])
-		copy(t[:lst], left.rows[li])
-		copy(t[lst:], right.rows[ri])
-		out.rows = append(out.rows, t)
-		if chunk != nil {
-			if left.enc != nil {
-				copy(chunk[:lst], left.enc[li*lst:(li+1)*lst])
-			}
-			if right.enc != nil {
-				copy(chunk[lst:], right.enc[ri*rst:(ri+1)*rst])
-			}
-			out.enc = append(out.enc, chunk...)
-		}
-	}
+	out.dicts = append(append(out.dicts, left.dicts...), right.dicts...)
 	if len(eqs) == 0 {
-		for li := range left.rows {
-			for ri := range right.rows {
+		for li := 0; li < left.n; li++ {
+			for ri := 0; ri < right.n; ri++ {
 				if err := e.step(); err != nil {
 					return nil, err
 				}
-				emit(li, ri)
+				out.enc = append(append(out.enc, left.row(li)...), right.row(ri)...)
 			}
 		}
+		out.n = left.n * right.n
 		return out, nil
 	}
 	lidx := make([]int, len(eqs))
@@ -939,268 +892,96 @@ func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, er
 		}
 		lidx[k], ridx[k] = li, ri
 	}
-	encKeys := true
-	for k := range eqs {
-		if !left.encoded(lidx[k]) || !right.encoded(ridx[k]) {
-			encKeys = false
-			break
-		}
-	}
-
-	switch {
-	case encKeys && len(eqs) == 1:
-		// Single encoded key: build-side rows are chained per dictionary ID
-		// through heads/next — zero allocations per row — and probed through
-		// a cached left-to-right ID translation table. Chains are threaded in
-		// reverse row order so probing walks matches in ascending row order,
-		// matching the formatted-key path's output order exactly. NULL never
-		// joins without a test: the remap sends NullID to NoID and never
-		// yields NullID, so NULL probes miss and NULL build chains are never
-		// walked.
+	if len(eqs) == 1 {
 		li, ri := lidx[0], ridx[0]
-		next := make([]int32, len(right.rows))
-		nd := right.dicts[ri].Len()
-		var denseHeads []int32
-		var mapHeads map[uint32]int32
-		if nd <= 4*len(right.rows)+1024 {
-			// Dictionary small relative to the build side: index chain heads
-			// by ID directly.
-			denseHeads = make([]int32, nd)
-			for i := range denseHeads {
-				denseHeads[i] = -1
-			}
-			for rj := len(right.rows) - 1; rj >= 0; rj-- {
-				id := right.enc[rj*rst+ri]
-				next[rj] = denseHeads[id]
-				denseHeads[id] = int32(rj)
-			}
-		} else {
-			// Build side much smaller than the dictionary (a filtered scan
-			// over a wide column): a map wastes less than a dense table.
-			mapHeads = make(map[uint32]int32, len(right.rows))
-			for rj := len(right.rows) - 1; rj >= 0; rj-- {
-				id := right.enc[rj*rst+ri]
-				h, ok := mapHeads[id]
-				if !ok {
-					h = -1
-				}
-				next[rj] = h
-				mapHeads[id] = int32(rj)
-			}
-		}
-		remap := left.dicts[li].RemapCached(right.dicts[ri])
-		if e.parFor(len(left.rows)) > 1 {
-			// Shard-parallel probe: per-shard match collection, then an
-			// exactly-preallocated materialization at prefix-sum offsets
-			// (see parProbe). Output is byte-identical to batchProbe.
-			if err := e.parProbe(left, right, li, remap, denseHeads, mapHeads, next, out); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		// Batch probe: translate a block of probe IDs through the remap
-		// table, mask misses branch-free, walk chains only for the packed
-		// survivors (see batchProbe).
-		if err := e.batchProbe(left, li, remap, denseHeads, mapHeads, next, emit); err != nil {
-			return nil, err
-		}
-		return out, nil
-	case encKeys && len(eqs) == 2:
-		// Two encoded keys pack into one uint64, chained exactly like the
-		// single-key kernel: no per-row allocation on either side.
-		l0, l1 := lidx[0], lidx[1]
-		r0, r1 := ridx[0], ridx[1]
-		next := make([]int32, len(right.rows))
-		heads := make(map[uint64]int32, len(right.rows))
-		for rj := len(right.rows) - 1; rj >= 0; rj-- {
-			key := uint64(right.enc[rj*rst+r0]) | uint64(right.enc[rj*rst+r1])<<32
-			h, ok := heads[key]
-			if !ok {
-				h = -1
-			}
-			next[rj] = h
-			heads[key] = int32(rj)
-		}
-		remap0 := left.dicts[l0].RemapCached(right.dicts[r0])
-		remap1 := left.dicts[l1].RemapCached(right.dicts[r1])
-		for lj := range left.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			id0 := remap0[left.enc[lj*lst+l0]]
-			id1 := remap1[left.enc[lj*lst+l1]]
-			if id0 == relation.NoID || id1 == relation.NoID {
-				continue
-			}
-			h, ok := heads[uint64(id0)|uint64(id1)<<32]
-			if !ok {
-				continue
-			}
-			for rj := h; rj >= 0; rj = next[rj] {
-				emit(lj, int(rj))
-			}
-		}
-	case encKeys:
-		// Three or more encoded keys: pack the 4-byte IDs into a reusable buffer.
-		// Probing with map[string(buf)] is allocation-free; only inserting a
-		// new distinct key copies the buffer into a string.
-		slots := make(map[string]int, len(right.rows))
-		var lists [][]int
-		buf := make([]byte, 0, 4*len(eqs))
-		for rj := range right.rows {
-			buf = buf[:0]
-			for k := range eqs {
-				buf = appendLE32(buf, right.enc[rj*rst+ridx[k]])
-			}
-			slot, ok := slots[string(buf)]
-			if !ok {
-				slot = len(lists)
-				slots[string(buf)] = slot
-				lists = append(lists, nil)
-			}
-			lists[slot] = append(lists[slot], rj)
-		}
-		remaps := make([][]uint32, len(eqs))
-		for k := range eqs {
-			remaps[k] = left.dicts[lidx[k]].RemapCached(right.dicts[ridx[k]])
-		}
-	probeRows:
-		for lj := range left.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			buf = buf[:0]
-			for k := range eqs {
-				id := remaps[k][left.enc[lj*lst+lidx[k]]]
-				if id == relation.NoID {
-					continue probeRows
-				}
-				buf = appendLE32(buf, id)
-			}
-			slot, ok := slots[string(buf)]
-			if !ok {
-				continue
-			}
-			for _, rj := range lists[slot] {
-				emit(lj, rj)
-			}
-		}
-	default:
-		// A key column without a dictionary (see appendHashKey): canonical
-		// relation.AppendKey keys, NULL rows skipped.
-		slots := make(map[string]int, len(right.rows))
-		var lists [][]int
-		var buf []byte
-		for rj, rr := range right.rows {
-			var ok bool
-			buf, ok = appendJoinKey(buf[:0], rr, ridx)
-			if !ok {
-				continue
-			}
-			slot, have := slots[string(buf)]
-			if !have {
-				slot = len(lists)
-				slots[string(buf)] = slot
-				lists = append(lists, nil)
-			}
-			lists[slot] = append(lists[slot], rj)
-		}
-		for lj, lr := range left.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			var ok bool
-			buf, ok = appendJoinKey(buf[:0], lr, lidx)
-			if !ok {
-				continue
-			}
-			slot, have := slots[string(buf)]
-			if !have {
-				continue
-			}
-			for _, rj := range lists[slot] {
-				emit(lj, rj)
-			}
-		}
+		c := buildChains(right.enc, len(right.cols), ri, right.n, right.dicts[ri].Len())
+		pk := &probeKeys{col: colView(left, li), enc: left.enc, st: len(left.cols), off: li,
+			remap: left.dicts[li].RemapCached(right.dicts[ri])}
+		return out, e.probe(left, right, pk, c, out)
 	}
-	return out, nil
+	bkeys, pkeys, space, err := e.compositeKeys(left, right, lidx, ridx)
+	if err != nil {
+		return nil, err
+	}
+	c := buildChains(bkeys, 1, 0, right.n, space)
+	return out, e.probe(left, right, &probeKeys{ids: pkeys}, c, out)
 }
 
-// appendJoinKey appends the canonical join key of the given columns,
-// reporting false when any key value is NULL (NULL never joins).
-func appendJoinKey(buf []byte, row relation.Tuple, idx []int) ([]byte, bool) {
-	for _, i := range idx {
-		v := row[i]
-		if relation.Null(v) {
-			return buf, false
-		}
-		buf = relation.AppendKey(buf, v)
+// compositeKeys numbers the distinct tuples of right's key columns ridx
+// densely in first-seen order and returns each build row's number (bkeys),
+// each probe row's number for its key columns lidx translated into right's
+// ID spaces (pkeys; NoID when no build row holds that tuple), and the
+// number space. The tuple folds one column at a time through a map keyed by
+// (number so far, next ID), so every arity keys on uint64s. NULL never
+// joins: the remap sends NullID to NoID, which no build key holds.
+func (e *executor) compositeKeys(left, right *rowset, lidx, ridx []int) (bkeys, pkeys []uint32, space int, err error) {
+	lst, rst := len(left.cols), len(right.cols)
+	bkeys = make([]uint32, right.n)
+	for rj := range bkeys {
+		bkeys[rj] = right.enc[rj*rst+ridx[0]]
 	}
-	return buf, true
+	pkeys = make([]uint32, left.n)
+	remap := left.dicts[lidx[0]].RemapCached(right.dicts[ridx[0]])
+	for lj := range pkeys {
+		pkeys[lj] = remap[left.enc[lj*lst+lidx[0]]]
+	}
+	for k := 1; k < len(ridx); k++ {
+		if err := e.checkpoint(); err != nil {
+			return nil, nil, 0, err
+		}
+		level := make(map[uint64]uint32)
+		for rj, b := range bkeys {
+			key := uint64(b)<<32 | uint64(right.enc[rj*rst+ridx[k]])
+			id, ok := level[key]
+			if !ok {
+				id = uint32(len(level))
+				level[key] = id
+			}
+			bkeys[rj] = id
+		}
+		remap := left.dicts[lidx[k]].RemapCached(right.dicts[ridx[k]])
+		for lj, p := range pkeys {
+			if p == relation.NoID {
+				continue
+			}
+			id, ok := level[uint64(p)<<32|uint64(remap[left.enc[lj*lst+lidx[k]]])]
+			if !ok {
+				id = relation.NoID
+			}
+			pkeys[lj] = id
+		}
+		space = len(level)
+	}
+	return bkeys, pkeys, space, nil
 }
-
-// tupleArenaValues caps the arena blocks that join output tuples are carved
-// from: larger blocks amortize allocation further but round the last block's
-// waste up.
-const tupleArenaValues = 8192
 
 // project evaluates the SELECT list, applying GROUP BY and aggregates.
-// wantEnc asks for the output rowset to carry dictionary encoding for the
-// pass-through columns (worth it when the projection feeds DISTINCT or an
-// outer query's joins; wasted at the top level of a statement).
-func (e *executor) project(rs *rowset, q *sqlast.Query, wantEnc bool) (*rowset, error) {
-	out := &rowset{cols: make([]boundCol, len(q.Select))}
+// Pass-through columns keep their dictionaries; every aggregate output gets
+// a per-result dictionary (relation.EncodeColumn).
+func (e *executor) project(rs *rowset, q *sqlast.Query) (*rowset, error) {
+	plan, err := resolveSelect(rs, q.Select)
+	if err != nil {
+		return nil, err
+	}
+	nc := len(plan)
+	out := &rowset{cols: make([]boundCol, nc), dicts: make([]*relation.Dict, nc)}
 	hasAgg := false
 	for k, it := range q.Select {
 		out.cols[k] = boundCol{name: outputName(it)}
-		if _, ok := it.Expr.(sqlast.AggExpr); ok {
-			hasAgg = true
-		}
+		hasAgg = hasAgg || plan[k].agg
 	}
 	st := len(rs.cols)
 
 	if !hasAgg && len(q.GroupBy) == 0 {
-		idxs := make([]int, len(q.Select))
-		for k, it := range q.Select {
-			ce, ok := it.Expr.(sqlast.ColExpr)
-			if !ok {
-				return nil, fmt.Errorf("sqldb: unsupported select expression %T", it.Expr)
-			}
-			i, err := rs.resolve(ce.Col)
-			if err != nil {
-				return nil, err
-			}
-			idxs[k] = i
+		for k, s := range plan {
+			out.dicts[k] = rs.dicts[s.col]
 		}
-		if wantEnc && rs.dicts != nil {
-			dicts := make([]*relation.Dict, len(idxs))
-			any := false
-			for k, i := range idxs {
-				if dicts[k] = rs.dicts[i]; dicts[k] != nil {
-					any = true
-				}
-			}
-			if any {
-				out.dicts = dicts
-				out.enc = make([]uint32, 0, len(rs.rows)*len(idxs))
-			}
-		}
-		// All output tuples share one flat backing array (capacity-capped per
-		// tuple, and never mutated after projection), so the projection costs
-		// one allocation instead of one per row.
-		nc := len(idxs)
-		backing := make([]relation.Value, len(rs.rows)*nc)
-		out.rows = make([]relation.Tuple, 0, len(rs.rows))
-		for ri, row := range rs.rows {
-			tuple := relation.Tuple(backing[ri*nc : (ri+1)*nc : (ri+1)*nc])
-			for k, i := range idxs {
-				tuple[k] = row[i]
-			}
-			out.rows = append(out.rows, tuple)
-			if out.dicts != nil {
-				for _, i := range idxs {
-					out.enc = append(out.enc, rs.enc[ri*st+i])
-				}
+		out.n = rs.n
+		out.enc = make([]uint32, rs.n*nc)
+		for ri := 0; ri < rs.n; ri++ {
+			src, dst := rs.row(ri), out.enc[ri*nc:(ri+1)*nc]
+			for k, s := range plan {
+				dst[k] = src[s.col]
 			}
 		}
 		return out, nil
@@ -1214,128 +995,52 @@ func (e *executor) project(rs *rowset, q *sqlast.Query, wantEnc bool) (*rowset, 
 		}
 		gidx[k] = i
 	}
-
-	// Resolve the select list once, not per group — and before grouping, so
-	// the batch path can pick the columnar fold for simple plans.
-	plan, err := resolveSelect(rs, q.Select)
+	// Bucket rows into group slots in first-seen order. Unlike joins,
+	// grouping does not skip NULLs: NULL keys (NullID) form one group, apart
+	// from the string "NULL".
+	var (
+		rowSlot []int32
+		firsts  []int
+		sizes   []int32
+	)
+	par := e.parFor(rs.n) > 1
+	if par && len(gidx) >= 1 && len(gidx) <= 2 {
+		rowSlot, firsts, sizes, err = e.parGroupSlots(rs, gidx)
+	} else {
+		rowSlot, firsts, sizes, err = e.batchGroupSlots(rs, gidx)
+	}
 	if err != nil {
 		return nil, err
 	}
-
-	// Bucket rows into groups; lists and firsts are in first-seen order.
-	// Unlike joins, grouping does not skip NULLs: NULL keys form one group
-	// (NullID, or AppendKey's NULL key), apart from the string "NULL".
-	var lists [][]int
-	var firsts []int
-	allEnc := len(gidx) > 0
-	for _, g := range gidx {
-		if !rs.encoded(g) {
-			allEnc = false
-			break
-		}
+	if len(gidx) == 0 && rs.n == 0 {
+		firsts[0] = -1 // aggregates over an empty input still yield one row
 	}
-	if len(rs.rows) > 0 && (len(gidx) == 0 || allEnc) {
-		var rowSlot []int32
-		var bfirsts []int
-		var sizes []int32
-		var err error
-		par := e.parFor(len(rs.rows)) > 1
-		if par && len(gidx) >= 1 && len(gidx) <= 2 {
-			rowSlot, bfirsts, sizes, err = e.parGroupSlots(rs, gidx)
-		} else {
-			rowSlot, bfirsts, sizes, err = e.batchGroupSlots(rs, gidx)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rowSlot != nil { // shape is batchable (0–2 encoded key columns)
-			firsts = bfirsts
-			if par {
-				// Shard-parallel fold: distinct slots fold concurrently, each
-				// slot's rows in ascending order on one worker — value- and
-				// byte-identical to the sequential folds (see parAggregate).
-				if wantEnc {
-					setupGroupEnc(out, rs, plan, len(firsts))
+
+	ns := len(firsts)
+	out.n = ns
+	out.enc = make([]uint32, ns*nc)
+	vals := make([]relation.Value, ns) // one aggregate column's results
+	var lists [][]int
+	for k, s := range plan {
+		if !s.agg {
+			out.dicts[k] = rs.dicts[s.col]
+			for slot, first := range firsts {
+				if first >= 0 {
+					out.enc[slot*nc+k] = rs.enc[first*st+s.col]
 				}
-				if err := e.parAggregate(rs, plan, rowSlot, firsts, sizes, out); err != nil {
-					return nil, err
-				}
-				return out, nil
 			}
-			if simplePlan(plan) {
-				// Columnar fold: aggregate straight off the slot assignment,
-				// never materializing per-slot row lists.
-				if wantEnc {
-					setupGroupEnc(out, rs, plan, len(firsts))
-				}
-				if err := e.batchAggregate(rs, plan, rowSlot, firsts, sizes, out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			// DISTINCT aggregates still need the row lists: carve them from
-			// the slot assignment by counting sort and share the generic
-			// per-slot loop below.
+			continue
+		}
+		if par && lists == nil && !sizeCount(rs, s) {
 			lists = carveLists(rowSlot, sizes)
 		}
-	}
-	if lists == nil && len(gidx) > 0 {
-		// No batch kernel for this shape — three or more key columns, or a
-		// key column without a dictionary (see appendHashKey): packed IDs
-		// for encoded key columns, length-prefixed formats for the rest.
-		// Lookups through map[string(buf)] are allocation-free; a new group
-		// interns its key once.
-		slots := make(map[string]int)
-		var buf []byte
-		for ri := range rs.rows {
-			if err := e.step(); err != nil {
-				return nil, err
-			}
-			buf = rs.appendHashKey(buf[:0], ri, gidx)
-			slot, ok := slots[string(buf)]
-			if !ok {
-				slot = len(lists)
-				slots[string(buf)] = slot
-				lists = append(lists, nil)
-				firsts = append(firsts, ri)
-			}
-			lists[slot] = append(lists[slot], ri)
+		if err := e.fold(rs, s, rowSlot, sizes, lists, vals); err != nil {
+			return nil, err
 		}
-	}
-	synthetic := false
-	if len(gidx) == 0 && len(lists) == 0 {
-		// Aggregates over an empty input still yield one row.
-		lists = [][]int{nil}
-		firsts = []int{-1}
-		synthetic = true
-	}
-
-	if wantEnc && !synthetic {
-		setupGroupEnc(out, rs, plan, len(lists))
-	}
-	for slot, rows := range lists {
-		first := firsts[slot]
-		tuple := make(relation.Tuple, len(plan))
-		for k, s := range plan {
-			if s.agg {
-				v, err := aggregate(s.ex, rs, rows, s.col)
-				if err != nil {
-					return nil, err
-				}
-				tuple[k] = v
-			} else if first >= 0 {
-				tuple[k] = rs.rows[first][s.col]
-			}
-		}
-		out.rows = append(out.rows, tuple)
-		if out.dicts != nil {
-			for k, s := range plan {
-				var id uint32
-				if out.dicts[k] != nil {
-					id = rs.enc[first*st+s.col]
-				}
-				out.enc = append(out.enc, id)
-			}
+		d, ids := relation.EncodeColumn(vals)
+		out.dicts[k] = d
+		for slot, id := range ids {
+			out.enc[slot*nc+k] = id
 		}
 	}
 	return out, nil
@@ -1373,161 +1078,166 @@ func resolveSelect(rs *rowset, items []sqlast.SelectItem) ([]selItem, error) {
 	return plan, nil
 }
 
-// setupGroupEnc attaches an output encoding for the pass-through columns of
-// a grouped projection over ngroups groups (when any column carries one).
-func setupGroupEnc(out, rs *rowset, plan []selItem, ngroups int) {
-	if rs.dicts == nil {
-		return
-	}
-	dicts := make([]*relation.Dict, len(plan))
-	any := false
-	for k, s := range plan {
-		if !s.agg && rs.dicts[s.col] != nil {
-			dicts[k] = rs.dicts[s.col]
-			any = true
-		}
-	}
-	if any {
-		out.dicts = dicts
-		out.enc = make([]uint32, 0, ngroups*len(plan))
-	}
+// aggState folds one aggregate over the dictionary IDs of every group slot's
+// rows, each slot's rows in ascending order.
+type aggState struct {
+	ex     sqlast.AggExpr
+	dict   *relation.Dict
+	count  []int64   // COUNT, and the SUM/AVG value count
+	best   []uint32  // MIN/MAX: the best ID so far, NoID before the first
+	sum    []float64 // SUM/AVG, folded in float64 in row order
+	notInt []bool    // SUM: some summed value was not an int64
 }
 
-func aggregate(ex sqlast.AggExpr, rs *rowset, rows []int, i int) (relation.Value, error) {
-	st := len(rs.cols)
-	if !ex.Distinct {
-		// Without DISTINCT the aggregate folds in one pass over the group —
-		// no intermediate value slice.
-		switch ex.Func {
-		case sqlast.AggCount:
-			n := int64(0)
-			for _, ri := range rows {
-				if !relation.Null(rs.rows[ri][i]) {
-					n++
-				}
-			}
-			return relation.Int(n), nil
-		case sqlast.AggMin, sqlast.AggMax:
-			var best relation.Value
-			for _, ri := range rows {
-				v := rs.rows[ri][i]
-				if relation.Null(v) {
-					continue
-				}
-				if best == nil {
-					best = v
-					continue
-				}
-				c := relation.Compare(v, best)
-				if (ex.Func == sqlast.AggMin && c < 0) || (ex.Func == sqlast.AggMax && c > 0) {
-					best = v
-				}
-			}
-			return best, nil
-		case sqlast.AggSum, sqlast.AggAvg:
-			sum, n, allInt := 0.0, 0, true
-			for _, ri := range rows {
-				v := rs.rows[ri][i]
-				if relation.Null(v) {
-					continue
-				}
-				f, ok := relation.AsFloat(v)
-				if !ok {
-					return nil, fmt.Errorf("sqldb: %s over non-numeric value %v", ex.Func, v)
-				}
-				if _, isInt := v.(int64); !isInt {
-					allInt = false
-				}
-				sum += f
-				n++
-			}
-			if n == 0 {
-				return nil, nil
-			}
-			if ex.Func == sqlast.AggAvg {
-				return relation.Float(sum / float64(n)), nil
-			}
-			if allInt {
-				return relation.Int(int64(sum)), nil
-			}
-			return relation.Float(sum), nil
-		default:
-			return nil, fmt.Errorf("sqldb: unknown aggregate %q", ex.Func)
-		}
-	}
-	var vals []relation.Value
-	if rs.encoded(i) {
-		// DISTINCT de-duplicates by dictionary ID, so no per-row formatting
-		// is needed.
-		seen := make(map[uint32]bool)
-		for _, ri := range rows {
-			v := rs.rows[ri][i]
-			if relation.Null(v) {
-				continue
-			}
-			id := rs.enc[ri*st+i]
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			vals = append(vals, v)
-		}
-	} else {
-		seen := make(map[string]bool)
-		for _, ri := range rows {
-			v := rs.rows[ri][i]
-			if relation.Null(v) {
-				continue
-			}
-			k := relation.Format(v)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			vals = append(vals, v)
-		}
-	}
+func newAggState(ex sqlast.AggExpr, d *relation.Dict, ns int) (*aggState, error) {
+	a := &aggState{ex: ex, dict: d}
 	switch ex.Func {
 	case sqlast.AggCount:
-		return relation.Int(int64(len(vals))), nil
+		a.count = make([]int64, ns)
 	case sqlast.AggMin, sqlast.AggMax:
-		if len(vals) == 0 {
-			return nil, nil
+		a.best = make([]uint32, ns)
+		for i := range a.best {
+			a.best[i] = relation.NoID
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := relation.Compare(v, best)
-			if (ex.Func == sqlast.AggMin && c < 0) || (ex.Func == sqlast.AggMax && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
 	case sqlast.AggSum, sqlast.AggAvg:
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			f, ok := relation.AsFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("sqldb: %s over non-numeric value %v", ex.Func, v)
-			}
-			if _, isInt := v.(int64); !isInt {
-				allInt = false
-			}
-			sum += f
-		}
-		if ex.Func == sqlast.AggAvg {
-			return relation.Float(sum / float64(len(vals))), nil
-		}
-		if allInt {
-			return relation.Int(int64(sum)), nil
-		}
-		return relation.Float(sum), nil
+		a.count, a.sum, a.notInt = make([]int64, ns), make([]float64, ns), make([]bool, ns)
 	default:
 		return nil, fmt.Errorf("sqldb: unknown aggregate %q", ex.Func)
 	}
+	return a, nil
+}
+
+// add folds the ID of one row of slot. NULL is skipped; under DISTINCT so is
+// an ID the slot has seen (seen holds slot<<32|id). MIN and MAX decode only
+// when the ID differs from the slot's best; SUM and AVG decode every row.
+func (a *aggState) add(seen map[uint64]struct{}, slot int32, id uint32) error {
+	if id == relation.NullID {
+		return nil
+	}
+	if a.ex.Distinct {
+		k := uint64(slot)<<32 | uint64(id)
+		if _, ok := seen[k]; ok {
+			return nil
+		}
+		seen[k] = struct{}{}
+	}
+	switch a.ex.Func {
+	case sqlast.AggCount:
+		a.count[slot]++
+	case sqlast.AggMin, sqlast.AggMax:
+		b := a.best[slot]
+		if b == id {
+			return nil
+		}
+		if b == relation.NoID {
+			a.best[slot] = id
+			return nil
+		}
+		c := relation.Compare(a.dict.Value(id), a.dict.Value(b))
+		if (a.ex.Func == sqlast.AggMin && c < 0) || (a.ex.Func == sqlast.AggMax && c > 0) {
+			a.best[slot] = id
+		}
+	default:
+		v := a.dict.Value(id)
+		f, ok := relation.AsFloat(v)
+		if !ok {
+			return fmt.Errorf("sqldb: %s over non-numeric value %v", a.ex.Func, v)
+		}
+		if _, isInt := v.(int64); !isInt {
+			a.notInt[slot] = true
+		}
+		a.sum[slot] += f
+		a.count[slot]++
+	}
+	return nil
+}
+
+// result returns slot's aggregate value: NULL for MIN, MAX, SUM and AVG over
+// no value.
+func (a *aggState) result(slot int) relation.Value {
+	switch {
+	case a.ex.Func == sqlast.AggCount:
+		return relation.Int(a.count[slot])
+	case a.best != nil:
+		if a.best[slot] == relation.NoID {
+			return nil
+		}
+		return a.dict.Value(a.best[slot])
+	case a.count[slot] == 0:
+		return nil
+	case a.ex.Func == sqlast.AggAvg:
+		return relation.Float(a.sum[slot] / float64(a.count[slot]))
+	case a.notInt[slot]:
+		return relation.Float(a.sum[slot])
+	default:
+		return relation.Int(int64(a.sum[slot]))
+	}
+}
+
+// sizeCount reports whether aggregate item s is the group size: a
+// non-DISTINCT COUNT over a column whose dictionary never interned NULL.
+func sizeCount(rs *rowset, s selItem) bool {
+	return s.ex.Func == sqlast.AggCount && !s.ex.Distinct && !rs.dicts[s.col].HasNull()
+}
+
+// fold computes aggregate item s of every group slot into vals. A sizeCount
+// item reads the group sizes. Otherwise the rows are folded in ascending
+// order: in one columnar pass over the slot assignment, or, when lists (the
+// per-slot row lists) are given, shard-parallel over contiguous slot
+// ranges, each slot on exactly one worker, so every fold — float sums
+// included — associates as the single-shard fold does.
+func (e *executor) fold(rs *rowset, s selItem, rowSlot []int32, sizes []int32, lists [][]int, vals []relation.Value) error {
+	if sizeCount(rs, s) {
+		for slot, sz := range sizes {
+			vals[slot] = relation.Int(int64(sz))
+		}
+		return nil
+	}
+	a, err := newAggState(s.ex, rs.dicts[s.col], len(vals))
+	if err != nil {
+		return err
+	}
+	st := len(rs.cols)
+	newSeen := func() map[uint64]struct{} {
+		if s.ex.Distinct {
+			return make(map[uint64]struct{})
+		}
+		return nil
+	}
+	if lists != nil {
+		workers := e.parFor(rs.n)
+		err = e.runParts(workers, workers, func(p int) error {
+			seen := newSeen()
+			for slot := p * len(vals) / workers; slot < (p+1)*len(vals)/workers; slot++ {
+				if err := e.pollCtx(); err != nil {
+					return err
+				}
+				for _, ri := range lists[slot] {
+					if err := a.add(seen, int32(slot), rs.enc[ri*st+s.col]); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+	} else {
+		seen := newSeen()
+		for lo := 0; lo < rs.n && err == nil; lo += relation.BlockSize {
+			if err = e.stepN(relation.BlockSize); err != nil {
+				break
+			}
+			for ri := lo; ri < min(lo+relation.BlockSize, rs.n) && err == nil; ri++ {
+				err = a.add(seen, rowSlot[ri], rs.enc[ri*st+s.col])
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for slot := range vals {
+		vals[slot] = a.result(slot)
+	}
+	return nil
 }
 
 func outputName(it sqlast.SelectItem) string {
@@ -1542,132 +1252,130 @@ func outputName(it sqlast.SelectItem) string {
 	}
 }
 
-func distinctRowset(rs *rowset) *rowset {
-	out := &rowset{cols: rs.cols, dicts: rs.dicts}
+// distinctRowset keeps the first row of every distinct ID tuple, in input
+// order: one or two columns de-duplicate through a bitset or a set over
+// their packed IDs, more columns through the grouping kernel's first rows.
+func (e *executor) distinctRowset(rs *rowset) (*rowset, error) {
 	st := len(rs.cols)
-	out.rows = make([]relation.Tuple, 0, len(rs.rows))
-	if out.dicts != nil {
-		out.enc = make([]uint32, 0, len(rs.rows)*st)
-	}
-	emit := func(ri int) {
-		out.rows = append(out.rows, rs.rows[ri])
-		if out.dicts != nil {
-			out.enc = append(out.enc, rs.enc[ri*st:(ri+1)*st]...)
-		}
-	}
-	if st == 1 && rs.encoded(0) {
-		if nd := rs.dicts[0].Len(); nd <= 4*len(rs.rows)+1024 {
-			seen := make([]bool, nd)
-			for ri := range rs.rows {
-				id := rs.enc[ri]
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-				emit(ri)
+	sel := e.ensureBits((rs.n + 63) / 64)
+	clear(sel)
+	mark := func(ri int) { sel[ri>>6] |= 1 << (uint(ri) & 63) }
+	switch {
+	case st == 1 && rs.dicts[0].Len() <= 4*rs.n+1024:
+		seen := make([]uint64, (rs.dicts[0].Len()+63)/64)
+		for ri, id := range rs.enc[:rs.n] {
+			if w, b := id>>6, uint64(1)<<(id&63); seen[w]&b == 0 {
+				seen[w] |= b
+				mark(ri)
 			}
-			return out
 		}
-		seen := make(map[uint32]bool, len(rs.rows))
-		for ri := range rs.rows {
-			id := rs.enc[ri]
-			if seen[id] {
-				continue
+	case st == 2 && int64(rs.dicts[0].Len())*int64(rs.dicts[1].Len()) <= 64*int64(rs.n)+4096:
+		// The combined ID space is small: de-duplicate through a bitset
+		// indexed by id0*nd1+id1 instead of hashing at all.
+		nd1 := int64(rs.dicts[1].Len())
+		seen := make([]uint64, (int64(rs.dicts[0].Len())*nd1+63)/64)
+		for ri := 0; ri < rs.n; ri++ {
+			key := int64(rs.enc[ri*2])*nd1 + int64(rs.enc[ri*2+1])
+			if w, b := key/64, uint64(1)<<(key%64); seen[w]&b == 0 {
+				seen[w] |= b
+				mark(ri)
 			}
-			seen[id] = true
-			emit(ri)
 		}
-		return out
-	}
-	if st == 2 && rs.encoded(0) && rs.encoded(1) {
-		nd0, nd1 := int64(rs.dicts[0].Len()), int64(rs.dicts[1].Len())
-		if prod := nd0 * nd1; prod <= 64*int64(len(rs.rows))+4096 {
-			// The combined ID space is small: de-duplicate through a bitset
-			// indexed by id0*nd1+id1 instead of hashing at all.
-			seen := make([]uint64, (prod+63)/64)
-			for ri := range rs.rows {
-				key := int64(rs.enc[ri*2])*nd1 + int64(rs.enc[ri*2+1])
-				w, b := key/64, uint(key%64)
-				if seen[w]&(1<<b) != 0 {
-					continue
-				}
-				seen[w] |= 1 << b
-				emit(ri)
+	case st <= 2:
+		seen := make(map[uint64]struct{}, rs.n)
+		for ri := 0; ri < rs.n; ri++ {
+			key := uint64(rs.enc[ri*st])
+			if st == 2 {
+				key |= uint64(rs.enc[ri*2+1]) << 32
 			}
-			return out
-		}
-		seen := make(map[uint64]struct{}, len(rs.rows))
-		for ri := range rs.rows {
-			key := uint64(rs.enc[ri*2]) | uint64(rs.enc[ri*2+1])<<32
-			if _, ok := seen[key]; ok {
-				continue
+			if _, ok := seen[key]; !ok {
+				seen[key] = struct{}{}
+				mark(ri)
 			}
-			seen[key] = struct{}{}
-			emit(ri)
 		}
-		return out
-	}
-	idx := make([]int, st)
-	for i := range idx {
-		idx[i] = i
-	}
-	seen := make(map[string]bool, len(rs.rows))
-	var buf []byte
-	for ri := range rs.rows {
-		buf = rs.appendHashKey(buf[:0], ri, idx)
-		if seen[string(buf)] {
-			continue
+	default:
+		all := make([]int, st)
+		for i := range all {
+			all[i] = i
 		}
-		seen[string(buf)] = true
-		emit(ri)
+		_, firsts, _, err := e.batchGroupSlots(rs, all)
+		if err != nil {
+			return nil, err
+		}
+		for _, ri := range firsts {
+			mark(ri)
+		}
 	}
-	return out
+	out := &rowset{cols: rs.cols, dicts: rs.dicts}
+	return out, e.gatherSelected(rs, sel, out)
 }
 
-func orderByRowset(rs *rowset, items []sqlast.OrderItem) error {
-	idxs := make([]int, len(items))
-	for k, o := range items {
+// orderColumns resolves q's ORDER BY items to positions in its SELECT list,
+// as sqlite3 does: a qualified column matches the item that selects that
+// table's column (both resolved in rs, the rowset the SELECT list reads), an
+// unqualified name matches the item with that output name (its alias or
+// column name) and otherwise the item selecting the column it resolves to.
+// An unqualified name two items carry is ambiguous.
+func orderColumns(rs *rowset, q *sqlast.Query) ([]int, error) {
+	idxs := make([]int, len(q.OrderBy))
+	for k, o := range q.OrderBy {
 		found := -1
-		for i, bc := range rs.cols {
-			if strings.EqualFold(bc.name, o.Col.Column) || strings.EqualFold(bc.name, o.Col.String()) {
-				found = i
-				break
+		if o.Col.Table == "" {
+			for j, it := range q.Select {
+				if !strings.EqualFold(outputName(it), o.Col.Column) {
+					continue
+				}
+				if found >= 0 {
+					return nil, fmt.Errorf("sqldb: ambiguous ORDER BY column %s", o.Col)
+				}
+				found = j
 			}
 		}
 		if found < 0 {
-			return fmt.Errorf("sqldb: ORDER BY column %s not in result", o.Col)
+			if i, err := rs.resolve(o.Col); err == nil {
+				for j, it := range q.Select {
+					if ce, ok := it.Expr.(sqlast.ColExpr); ok {
+						if ci, err := rs.resolve(ce.Col); err == nil && ci == i {
+							found = j
+							break
+						}
+					}
+				}
+			}
+		}
+		if found < 0 {
+			return nil, fmt.Errorf("sqldb: ORDER BY column %s not in result", o.Col)
 		}
 		idxs[k] = found
 	}
-	less := func(a, b relation.Tuple) bool {
-		for k, i := range idxs {
-			c := relation.Compare(a[i], b[i])
-			if c != 0 {
-				if items[k].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	}
-	if rs.enc == nil {
-		sort.SliceStable(rs.rows, func(a, b int) bool { return less(rs.rows[a], rs.rows[b]) })
-		return nil
-	}
-	// Sort a permutation, then rebuild rows and the encoding in lockstep.
-	st := len(rs.cols)
-	perm := make([]int, len(rs.rows))
+	return idxs, nil
+}
+
+// orderRowset sorts rs's rows stably by output columns idxs, comparing the
+// decoded entries (relation.Compare): it sorts a row permutation and then
+// rewrites the IDs in that order.
+func orderRowset(rs *rowset, idxs []int, items []sqlast.OrderItem) {
+	perm := make([]int, rs.n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return less(rs.rows[perm[a]], rs.rows[perm[b]]) })
-	rows := make([]relation.Tuple, len(rs.rows))
+	st := len(rs.cols)
+	sort.SliceStable(perm, func(a, b int) bool {
+		ra, rb := rs.row(perm[a]), rs.row(perm[b])
+		for k, i := range idxs {
+			if ra[i] == rb[i] {
+				continue
+			}
+			c := relation.Compare(rs.dicts[i].Value(ra[i]), rs.dicts[i].Value(rb[i]))
+			if c != 0 {
+				return (c < 0) != items[k].Desc
+			}
+		}
+		return false
+	})
 	enc := make([]uint32, len(rs.enc))
 	for ni, oi := range perm {
-		rows[ni] = rs.rows[oi]
-		copy(enc[ni*st:(ni+1)*st], rs.enc[oi*st:(oi+1)*st])
+		copy(enc[ni*st:(ni+1)*st], rs.row(oi))
 	}
-	rs.rows, rs.enc = rows, enc
-	return nil
+	rs.enc = enc
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -26,6 +27,7 @@ func TestJoinOrderingCorrectness(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		c.MustInsert(int64(i), fmt.Sprintf("v%d", i))
 	}
+	db.Freeze()
 	// Every FROM permutation must produce the same multiset of rows.
 	perms := []string{
 		"FROM A, B, C",
@@ -132,6 +134,7 @@ func TestGroupKeysWithNulls(t *testing.T) {
 	tb.MustInsert("a", int64(1))
 	tb.MustInsert(nil, int64(2))
 	tb.MustInsert(nil, int64(3))
+	db.Freeze()
 	res := run(t, db, "SELECT T.k, COUNT(T.v) AS n FROM T GROUP BY T.k")
 	if len(res.Rows) != 2 {
 		t.Fatalf("NULL keys group together: %v", rowsAsStrings(res))
@@ -221,5 +224,145 @@ func TestExplainCrossJoinAndDerived(t *testing.T) {
 	}
 	if !derived {
 		t.Errorf("derived table plan missing:\n%s", plan)
+	}
+}
+
+// orderDB holds two tables that share a column name X, frozen.
+func orderDB() *relation.Database {
+	db := relation.NewDatabase("order")
+	a := db.AddSchema(relation.NewSchema("A", "K INT", "X").Key("K"))
+	a.MustInsert(int64(1), "a1")
+	a.MustInsert(int64(2), "a2")
+	b := db.AddSchema(relation.NewSchema("B", "K INT", "X").Key("K"))
+	b.MustInsert(int64(1), "z")
+	b.MustInsert(int64(2), "b")
+	db.Freeze()
+	return db
+}
+
+// TestOrderByResolvesAgainstSelectList: ORDER BY items resolve against the
+// SELECT list as in sqlite3. A qualified column picks the item selecting
+// that table's column, not the first output column of the same name; an
+// alias matches by name; an unqualified name two items carry is ambiguous.
+func TestOrderByResolvesAgainstSelectList(t *testing.T) {
+	db := orderDB()
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT A.X, B.X FROM A A, B B WHERE A.K = B.K ORDER BY B.X", []string{"a2|b", "a1|z"}},
+		{"SELECT A.X, B.X FROM A A, B B WHERE A.K = B.K ORDER BY A.X DESC", []string{"a2|b", "a1|z"}},
+		{"SELECT A.X, B.X AS y FROM A A, B B WHERE A.K = B.K ORDER BY y", []string{"a2|b", "a1|z"}},
+		{"SELECT B.X AS y FROM B B ORDER BY X", []string{"b", "z"}},
+	} {
+		res, err := ExecSQL(db, c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := rowsAsStrings(res); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: rows %v, want %v", c.sql, got, c.want)
+		}
+	}
+	_, err := ExecSQL(db, "SELECT A.X, B.X FROM A A, B B WHERE A.K = B.K ORDER BY X")
+	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("ambiguous ORDER BY X: err = %v, want an ambiguity error", err)
+	}
+}
+
+// TestLimitZero: LIMIT 0 returns no row and survives parse, render and
+// clone; only a missing LIMIT clause returns every row.
+func TestLimitZero(t *testing.T) {
+	db := orderDB()
+	q, err := Parse("SELECT A.X FROM A A LIMIT 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Limit == nil || *q.Limit != 0 {
+		t.Fatalf("Limit = %v, want 0", q.Limit)
+	}
+	for _, text := range []string{q.String(), q.Clone().String(), q.Pretty()} {
+		if !strings.HasSuffix(text, "LIMIT 0") {
+			t.Errorf("LIMIT 0 lost in rendering: %q", text)
+		}
+	}
+	res, err := execQuery(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Errorf("LIMIT 0 returned %v", rowsAsStrings(res))
+	}
+	res, err = ExecSQL(db, "SELECT A.X FROM A A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Errorf("no LIMIT returned %v", rowsAsStrings(res))
+	}
+}
+
+// TestExecRequiresFrozen: the executor reads frozen tables only, and every
+// entry point names the table it found unfrozen.
+func TestExecRequiresFrozen(t *testing.T) {
+	db := relation.NewDatabase("open")
+	tb := db.AddSchema(relation.NewSchema("Loose", "K INT").Key("K"))
+	tb.MustInsert(int64(1))
+	q, err := Parse("SELECT L.K FROM Loose L")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExecOpts(context.Background(), db, q, ExecConfig{}); err == nil || !strings.Contains(err.Error(), `"Loose" is not frozen`) {
+		t.Errorf("ExecOpts on an unfrozen table: err = %v", err)
+	}
+	if _, err := Explain(db, q); err == nil || !strings.Contains(err.Error(), `"Loose" is not frozen`) {
+		t.Errorf("Explain on an unfrozen table: err = %v", err)
+	}
+}
+
+// TestAggregateJoinLeavesRemapCacheFlat runs 200 statements that join a
+// base column to an aggregate output: every statement builds a per-result
+// dictionary for the output, and remaps involving it stay uncached, so no
+// base dictionary's remap cache grows past its warm-up size.
+func TestAggregateJoinLeavesRemapCacheFlat(t *testing.T) {
+	db := relation.NewDatabase("remap")
+	tt := db.AddSchema(relation.NewSchema("T", "K INT", "V INT").Key("K"))
+	uu := db.AddSchema(relation.NewSchema("U", "K INT", "G INT").Key("K"))
+	for i := 0; i < 64; i++ {
+		tt.MustInsert(int64(i), int64(i))
+		uu.MustInsert(int64(i), int64(i%5))
+	}
+	db.Freeze()
+	var dicts []*relation.Dict
+	for _, tb := range db.Tables() {
+		d, _, _ := tb.Encoding()
+		dicts = append(dicts, d...)
+	}
+	cached := func() []int {
+		var n []int
+		for _, d := range dicts {
+			n = append(n, d.CachedRemaps())
+		}
+		return n
+	}
+	stmt := func(i int) string {
+		// T's three filtered rows start the join order, so the probe remaps
+		// T.V's base dictionary into D.n's per-result one.
+		return fmt.Sprintf("SELECT T.K, D.k FROM T, (SELECT U.K AS k, COUNT(U.G) AS n FROM U WHERE U.K > %d GROUP BY U.K) D WHERE T.K < 3 AND T.V = D.n", i%7)
+	}
+	if _, err := ExecSQL(db, stmt(0)); err != nil {
+		t.Fatal(err)
+	}
+	warm := cached()
+	for i := 0; i < 200; i++ {
+		res, err := ExecSQL(db, stmt(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s: no rows; the join on the aggregate output matched nothing", stmt(i))
+		}
+	}
+	if got := cached(); fmt.Sprint(got) != fmt.Sprint(warm) {
+		t.Errorf("base remap caches grew from %v to %v", warm, got)
 	}
 }

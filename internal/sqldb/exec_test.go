@@ -10,9 +10,13 @@ import (
 	"kwagg/internal/sqlast"
 )
 
+// uniDB returns the frozen university database: the executor reads frozen
+// tables only.
 func uniDB(t *testing.T) *relation.Database {
 	t.Helper()
-	return university.New()
+	db := university.New()
+	db.Freeze()
+	return db
 }
 
 // run executes sql against the university database and returns the sorted
@@ -223,6 +227,7 @@ func TestNullsExcludedFromJoinsAndAggregates(t *testing.T) {
 	tb.MustInsert(int64(1), int64(10))
 	tb.MustInsert(int64(2), nil)
 	tb.MustInsert(int64(3), int64(30))
+	db.Freeze()
 	res := run(t, db, "SELECT COUNT(T.v) AS n FROM T")
 	expectRows(t, res, "2") // NULL not counted
 	res = run(t, db, "SELECT SUM(T.v) AS s FROM T")
@@ -233,6 +238,7 @@ func TestNullsExcludedFromJoinsAndAggregates(t *testing.T) {
 	u := db.AddSchema(relation.NewSchema("U", "v INT").Key("v"))
 	u.MustInsert(nil)
 	u.MustInsert(int64(10))
+	u.Freeze()
 	res = run(t, db, "SELECT T.id FROM T, U WHERE T.v = U.v")
 	expectRows(t, res, "1")
 }
@@ -299,8 +305,8 @@ func TestLimitParsesAndRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Limit != 5 {
-		t.Errorf("Limit = %d", q.Limit)
+	if q.Limit == nil || *q.Limit != 5 {
+		t.Errorf("Limit = %v", q.Limit)
 	}
 	if got := q.String(); got != "SELECT S.Sid FROM Student S LIMIT 5" {
 		t.Errorf("render: %s", got)

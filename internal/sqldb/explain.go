@@ -25,7 +25,6 @@ type PlanSource struct {
 	Alias   string
 	Name    string   // base relation name, or "(subquery)"
 	Rows    int      // after local filters and semi-join pushes
-	Encoded bool     // rows carry the frozen table's dictionary encoding
 	Pushed  []string // predicates evaluated while scanning this source
 	Semi    []string // semi-join key sets the source was restricted to
 	Derived *Plan    // the plan of a derived table
@@ -48,11 +47,7 @@ func (p *Plan) String() string {
 func (p *Plan) write(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, "%s%s\n", indent, p.Shape)
 	for _, s := range p.Sources {
-		enc := ""
-		if s.Encoded {
-			enc = ", dict-encoded"
-		}
-		fmt.Fprintf(b, "%s  scan %s as %s (%d rows%s)", indent, s.Name, s.Alias, s.Rows, enc)
+		fmt.Fprintf(b, "%s  scan %s as %s (%d rows, dict-encoded)", indent, s.Name, s.Alias, s.Rows)
 		if len(s.Pushed) > 0 {
 			fmt.Fprintf(b, " filter: %s", strings.Join(s.Pushed, " AND "))
 		}
@@ -96,7 +91,7 @@ func Explain(db *relation.Database, q *sqlast.Query) (*Plan, error) {
 // before its local filters (whose first predicate may use the value index of
 // a pristine scan), rs the rowset the joins see.
 func planSource(tr sqlast.TableRef, pristine, rs *rowset, local []sqlast.Pred, pushes []semiPush, derived *Plan) PlanSource {
-	ps := PlanSource{Alias: tr.Alias, Name: tr.Name, Rows: len(rs.rows), Encoded: rs.dicts != nil, Derived: derived}
+	ps := PlanSource{Alias: tr.Alias, Name: tr.Name, Rows: rs.n, Derived: derived}
 	if tr.Subquery != nil {
 		ps.Name = "(subquery)"
 	}

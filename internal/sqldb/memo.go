@@ -122,7 +122,7 @@ func (m *Memo) acquire(ctx context.Context, key string) (*rowset, *memoClaim, er
 // budget and waking every waiter.
 func (c *memoClaim) publish(rs *rowset) {
 	m, ent := c.m, c.ent
-	cost := int64(len(rs.rows))*int64(len(rs.cols)) + 1
+	cost := int64(rs.n)*int64(len(rs.cols)) + 1
 	m.mu.Lock()
 	ent.rs = rs
 	ent.cost = cost
@@ -216,12 +216,17 @@ type ExecConfig struct {
 }
 
 // ExecOpts evaluates the query against db — the one way a statement runs.
-// Equality predicates on base-table scans are answered from the per-table
-// value index, and on frozen databases the hash paths — joins, GROUP BY,
-// DISTINCT, equality filters — run the batch kernels over the tables'
-// dictionary encoding, which rowsets carry beside the boxed tuples; derived
-// tables are restricted to their join partners' keys before they are
-// materialized (see semijoin.go).
+// Every table the statement reads must be frozen (relation.Database.Freeze,
+// which core.Open calls); otherwise ExecOpts returns an error naming the
+// table. Operators read and write the tables' dictionary IDs only: equality
+// predicates on base-table scans are answered from the per-table value
+// index, joins, GROUP BY, DISTINCT and filters run the batch kernels over
+// IDs, derived tables are restricted to their join partners' keys before
+// they are materialized (see semijoin.go), and values are decoded once, into
+// the Result. A cell therefore decodes to its column dictionary's first-seen
+// value for its rendering: a column holding typed inserts of int64(5) beside
+// "5" shares one ID and answers with whichever came first, the engine's one
+// notion of value identity.
 //
 // Evaluation honors cancellation: it checks ctx between operator phases and
 // once per block (or every rowCheckInterval rows) inside scan, filter and

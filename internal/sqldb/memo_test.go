@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"kwagg/internal/dataset/university"
-	"kwagg/internal/relation"
 )
 
 func memoRowset(rows, cols int) *rowset {
@@ -17,13 +16,8 @@ func memoRowset(rows, cols int) *rowset {
 	for i := 0; i < cols; i++ {
 		rs.cols[i] = boundCol{name: fmt.Sprintf("c%d", i)}
 	}
-	for r := 0; r < rows; r++ {
-		tu := make(relation.Tuple, cols)
-		for c := range tu {
-			tu[c] = int64(r*cols + c)
-		}
-		rs.rows = append(rs.rows, tu)
-	}
+	rs.n = rows
+	rs.enc = make([]uint32, rows*cols)
 	return rs
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"kwagg/internal/relation"
-	"kwagg/internal/sqlast"
 )
 
 // Shard-parallel drivers for the batch kernels (morsel-style): a shard is a
@@ -18,13 +17,14 @@ import (
 //   - the filter pass fills disjoint words of one shared selection bitset
 //     (shard boundaries are block- and therefore word-aligned), and the
 //     gather that consumes it stays sequential;
-//   - the join probe collects per-shard match lists and materializes them
-//     in ascending shard order at offsets fixed by a prefix sum, which is
-//     exactly ascending-probe-row order;
+//   - the join probe counts each shard's matches, fixes every shard's
+//     output offset by a prefix sum, and writes the matches in place, which
+//     is exactly ascending-probe-row order (see probe);
 //   - GROUP BY assigns shard-local slots in parallel, merges the shard
 //     group tables in ascending shard order (reproducing global first-seen
 //     slot numbering; COUNT/size partials merge by addition here), and then
-//     folds every slot's rows in ascending row order on exactly one worker.
+//     folds every slot's rows in ascending row order on exactly one worker
+//     (see fold).
 //
 // The last point is why SUM/AVG partials are never merged across shards:
 // float addition is not associative, so a cross-shard sum merge would give
@@ -166,134 +166,6 @@ func (e *executor) forEachShard(n int, fn func(s, lo, hi int) error) error {
 	})
 }
 
-// parProbe is batchProbe shard-parallel, in two phases. Phase one: every
-// probe-side shard runs the fused remap+miss-mask kernel and collects its
-// (probe row, build row) match pairs — packed lj<<32|rj — into a shard-local
-// list, in ascending probe-row order. Phase two: a prefix sum over the
-// per-shard match counts fixes every match's output offset, the output rows,
-// arena and encoding are allocated at their exact final sizes, and the
-// shards materialize their matches concurrently at those offsets. The
-// resulting row order is ascending probe row — identical to the sequential
-// emit — and the exact preallocation removes the sequential emit path's
-// arena growth and append bookkeeping per match.
-func (e *executor) parProbe(left, right *rowset, li int, remap []uint32, dense []int32, mapHeads map[uint32]int32, next []int32, out *rowset) error {
-	n := len(left.rows)
-	col := colView(left, li)
-	lst, rst := len(left.cols), len(right.cols)
-	matches := make([][]uint64, shardsOf(n, e.shardSize()))
-	err := e.forEachShard(n, func(s, shLo, shHi int) error {
-		var sel [blockWords]uint64
-		var pids [relation.BlockSize]uint32
-		idx := make([]int32, 0, relation.BlockSize)
-		var buf []uint64
-		for lo := shLo; lo < shHi; lo += relation.BlockSize {
-			if err := e.pollCtx(); err != nil {
-				return err
-			}
-			nb := shHi - lo
-			if nb > relation.BlockSize {
-				nb = relation.BlockSize
-			}
-			b := lo / relation.BlockSize
-			if col != nil {
-				blk := col.Block(b)
-				for w := 0; w*64 < nb; w++ {
-					m := nb - w*64
-					if m > 64 {
-						m = 64
-					}
-					base := w * 64
-					var word uint64
-					for k := 0; k < m; k++ {
-						id := remap[blk[base+k]]
-						pids[base+k] = id
-						word |= ((uint64(id^relation.NoID)-1)>>63 ^ 1) & 1 << uint(k)
-					}
-					sel[w] = word
-				}
-			} else {
-				p := lo*lst + li
-				for w := 0; w*64 < nb; w++ {
-					m := nb - w*64
-					if m > 64 {
-						m = 64
-					}
-					base := w * 64
-					var word uint64
-					for k := 0; k < m; k++ {
-						id := remap[left.enc[p]]
-						pids[base+k] = id
-						word |= ((uint64(id^relation.NoID)-1)>>63 ^ 1) & 1 << uint(k)
-						p += lst
-					}
-					sel[w] = word
-				}
-			}
-			idx = selIndexes(idx, sel[:], nb)
-			for _, k := range idx {
-				lj := lo + int(k)
-				var rj int32
-				if dense != nil {
-					rj = dense[pids[k]]
-				} else {
-					rj = -1
-					if h, ok := mapHeads[pids[k]]; ok {
-						rj = h
-					}
-				}
-				for ; rj >= 0; rj = next[rj] {
-					buf = append(buf, uint64(lj)<<32|uint64(uint32(rj)))
-				}
-			}
-		}
-		matches[s] = buf
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	offs := make([]int, len(matches)+1)
-	for s, m := range matches {
-		offs[s+1] = offs[s] + len(m)
-	}
-	total := offs[len(matches)]
-	if total == 0 {
-		return nil // out.rows stays nil, exactly like the sequential path
-	}
-	width := lst + rst
-	arena := make([]relation.Value, total*width)
-	out.rows = make([]relation.Tuple, total)
-	if out.dicts != nil {
-		out.enc = make([]uint32, total*width)
-	}
-	return e.forEachShard(n, func(s, _, _ int) error {
-		base := offs[s]
-		for j, m := range matches[s] {
-			if j&(rowCheckInterval-1) == 0 {
-				if err := e.pollCtx(); err != nil {
-					return err
-				}
-			}
-			lj := int(m >> 32)
-			rj := int(uint32(m))
-			o := (base + j) * width
-			t := relation.Tuple(arena[o : o+width : o+width])
-			copy(t[:lst], left.rows[lj])
-			copy(t[lst:], right.rows[rj])
-			out.rows[base+j] = t
-			if out.enc != nil {
-				if left.enc != nil {
-					copy(out.enc[o:o+lst], left.enc[lj*lst:(lj+1)*lst])
-				}
-				if right.enc != nil {
-					copy(out.enc[o+lst:o+width], right.enc[rj*rst:(rj+1)*rst])
-				}
-			}
-		}
-		return nil
-	})
-}
-
 // parGroupSlots is batchGroupSlots shard-parallel for one or two encoded
 // key columns (the caller falls back for other shapes). Every shard builds
 // a local group table — slot numbers in shard-local first-seen order — then
@@ -305,7 +177,7 @@ func (e *executor) parProbe(left, right *rowset, li int, remap []uint32, dense [
 // earliest shard's first row. A final parallel pass rewrites the local slot
 // numbers in rowSlot to global ones.
 func (e *executor) parGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, firsts []int, sizes []int32, err error) {
-	n := len(rs.rows)
+	n := rs.n
 	st := len(rs.cols)
 	g0 := gidx[0]
 	col0 := colView(rs, g0)
@@ -441,77 +313,4 @@ func (e *executor) parGroupSlots(rs *rowset, gidx []int) (rowSlot []int32, first
 		return nil, nil, nil, err
 	}
 	return rowSlot, firsts, sizes, nil
-}
-
-// parAggregate computes a grouped projection with the per-slot folds
-// distributed over contiguous slot ranges: each slot's rows — carved in
-// ascending row order by the counting sort — are folded by exactly one
-// worker with the same aggregate() the per-list fold uses, so every fold
-// (float sums included) associates exactly as the single-shard fold does.
-// Covers DISTINCT aggregates too, since aggregate() does. A non-DISTINCT
-// COUNT over a column whose dictionary holds no NULL short-circuits to the
-// group size (the same fast path batchAggregate takes; COUNT is
-// order-independent, so the value is identical), and when every aggregate
-// in the plan qualifies the per-slot row lists are never materialized.
-// Output rows are emitted in slot (first-seen) order, identical to the
-// sequential paths.
-func (e *executor) parAggregate(rs *rowset, plan []selItem, rowSlot []int32, firsts []int, sizes []int32, out *rowset) error {
-	ns := len(firsts)
-	fastCount := make([]bool, len(plan))
-	needLists := false
-	for k, s := range plan {
-		if !s.agg {
-			continue
-		}
-		fastCount[k] = s.ex.Func == sqlast.AggCount && !s.ex.Distinct && nullFree(rs, s.col)
-		needLists = needLists || !fastCount[k]
-	}
-	var lists [][]int
-	if needLists {
-		lists = carveLists(rowSlot, sizes)
-	}
-	cells := make([]relation.Value, ns*len(plan))
-	workers := e.parFor(len(rs.rows))
-	err := e.runParts(workers, workers, func(p int) error {
-		lo := p * ns / workers
-		hi := (p + 1) * ns / workers
-		for slot := lo; slot < hi; slot++ {
-			if err := e.pollCtx(); err != nil {
-				return err
-			}
-			for k, s := range plan {
-				switch {
-				case fastCount[k]:
-					cells[slot*len(plan)+k] = relation.Int(int64(sizes[slot]))
-				case s.agg:
-					v, err := aggregate(s.ex, rs, lists[slot], s.col)
-					if err != nil {
-						return err
-					}
-					cells[slot*len(plan)+k] = v
-				default:
-					cells[slot*len(plan)+k] = rs.rows[firsts[slot]][s.col]
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	st := len(rs.cols)
-	out.rows = make([]relation.Tuple, 0, ns)
-	for slot := 0; slot < ns; slot++ {
-		out.rows = append(out.rows, relation.Tuple(cells[slot*len(plan):(slot+1)*len(plan):(slot+1)*len(plan)]))
-		if out.dicts != nil {
-			for k, s := range plan {
-				var id uint32
-				if out.dicts[k] != nil {
-					id = rs.enc[firsts[slot]*st+s.col]
-				}
-				out.enc = append(out.enc, id)
-			}
-		}
-	}
-	return nil
 }

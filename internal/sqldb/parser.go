@@ -178,7 +178,7 @@ func (p *parser) parseQuery() (*sqlast.Query, error) {
 		if err != nil || n < 0 {
 			return nil, p.errorf("bad LIMIT %q", t.text)
 		}
-		q.Limit = n
+		q.Limit = &n
 	}
 	return q, nil
 }

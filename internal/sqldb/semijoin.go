@@ -69,7 +69,7 @@ type semiEdge struct {
 // with q (see the soundness rule above) or the column does not resolve.
 // cols are the FROM entries' columns (fromCols).
 func semiRoute(q *sqlast.Query, cols [][]boundCol, k int) (from, col int, ok bool) {
-	if q.Limit > 0 || k >= len(q.Select) {
+	if q.Limit != nil || k >= len(q.Select) {
 		return 0, 0, false
 	}
 	ce, isCol := q.Select[k].Expr.(sqlast.ColExpr)
@@ -178,9 +178,6 @@ func (e *executor) semiPushes(fl *fromList, cols [][]boundCol, edges []semiEdge,
 			continue
 		}
 		src := fl.sources[ed.from]
-		if !src.encoded(ed.fromCol) {
-			continue
-		}
 		keys, n, err := e.semiKeys(src, ed.fromCol, ed.dict)
 		if err != nil {
 			return nil, err
@@ -203,7 +200,7 @@ func (e *executor) semiPushes(fl *fromList, cols [][]boundCol, edges []semiEdge,
 func (e *executor) semiKeys(rs *rowset, i int, to *relation.Dict) ([]uint64, int, error) {
 	remap := rs.dicts[i].RemapCached(to)
 	keys := make([]uint64, (to.Len()+63)/64)
-	st, n := len(rs.cols), len(rs.rows)
+	st, n := len(rs.cols), rs.n
 	for lo := 0; lo < n; lo += relation.BlockSize {
 		hi := min(lo+relation.BlockSize, n)
 		if err := e.stepN(hi - lo); err != nil {
