@@ -1,6 +1,6 @@
 # Standard entry points; everything is pure Go with no external dependencies.
 
-.PHONY: all build test test-shuffle test-race race cover cover-check test-prop test-chaos test-backend test-incremental fuzz-smoke bench bench-json bench-check bench-build experiments verify fmt fmt-check vet lint lint-json ci examples
+.PHONY: all build test test-shuffle test-race race cover cover-check test-prop test-chaos test-backend test-incremental fuzz-smoke bench bench-pass bench-json bench-check bench-build experiments verify fmt fmt-check vet lint lint-json ci examples
 
 all: build test
 
@@ -87,6 +87,12 @@ fuzz-smoke:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# Bytes, allocations and time per paper-cold pass: BenchmarkPaperColdPass
+# (root bench_test.go) answers kwbench's 32 paper-cold pairs once per
+# iteration with the memo off. Five counts show the spread.
+bench-pass:
+	go test -run '^$$' -bench PaperColdPass -benchmem -count 5 .
 
 # Machine-readable record of the executor-kernel, memo and epoch-commit
 # benchmarks. BENCH.json is the rolling record the bench-regression gate

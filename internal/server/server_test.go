@@ -128,6 +128,23 @@ func TestSQLEndpoint(t *testing.T) {
 	}
 }
 
+// TestSQLEndpointEmptyRows pins the JSON of an empty answer: "Rows" is [],
+// never null, with or without GROUP BY.
+func TestSQLEndpointEmptyRows(t *testing.T) {
+	ts := testServer(t)
+	for _, sql := range []string{
+		"SELECT S.Sname FROM Student S WHERE S.Sname = 'nobody'",
+		"SELECT S.Sname, COUNT(S.Sid) AS n FROM Student S WHERE S.Sname = 'nobody' GROUP BY S.Sname",
+	} {
+		resp := postJSON(t, ts.URL+"/api/sql", map[string]string{"sql": sql})
+		var body map[string]json.RawMessage
+		decode(t, resp, &body)
+		if got := string(body["Rows"]); got != "[]" {
+			t.Errorf("%s: Rows = %s, want []", sql, got)
+		}
+	}
+}
+
 func TestSQAKEndpoint(t *testing.T) {
 	ts := testServer(t)
 	resp := postJSON(t, ts.URL+"/api/sqak", map[string]string{"q": "Green SUM Credit"})

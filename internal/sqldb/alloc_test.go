@@ -8,8 +8,7 @@ import (
 
 // allocDB builds a frozen single-table database big enough that per-row
 // allocations dominate any fixed setup cost: n rows with 16 distinct group
-// keys, 64 distinct join keys and 32 distinct float values (floats are not
-// indexable, so equality on F exercises the scan-side filter kernel).
+// keys, 64 distinct join keys and 32 distinct float values.
 func allocDB(n int) *relation.Database {
 	db := relation.NewDatabase("alloc")
 	tt := db.AddSchema(relation.NewSchema("T", "G INT", "V INT", "K INT", "F FLOAT").Key("V"))
@@ -55,8 +54,8 @@ func TestGroupKeyAllocs(t *testing.T) {
 	})
 }
 
-// TestJoinKeyAllocs pins the hash-join key path: building over the big side
-// and probing must not allocate per row (ID chains, cached remap table).
+// TestJoinKeyAllocs pins the hash-join key path: probing the big side's
+// value index must not allocate per row (postings, cached remap table).
 func TestJoinKeyAllocs(t *testing.T) {
 	const rows = 20000
 	db := allocDB(rows)
@@ -86,8 +85,8 @@ func TestJoinKeyAllocs(t *testing.T) {
 	})
 }
 
-// TestDistinctKeyAllocs pins DISTINCT over two encoded columns (the packed
-// uint64/bitset path).
+// TestDistinctKeyAllocs pins DISTINCT over two encoded columns (the DISTINCT
+// kernel's flat table of row numbers).
 func TestDistinctKeyAllocs(t *testing.T) {
 	const rows = 20000
 	db := allocDB(rows)
@@ -102,20 +101,27 @@ func TestDistinctKeyAllocs(t *testing.T) {
 	})
 }
 
-// TestFilterKernelAllocs pins the batch equality filter: floats are not
-// indexable, so the predicate runs through the scan-side selection-vector
-// kernel, whose only allocations are the bitset and the gathered output —
-// near zero per input row when most rows are filtered out.
+// TestFilterKernelAllocs pins the filters on a pristine scan to (near) zero
+// allocations per input row on both of their paths: T.F = 7.5 keeps 1/32 of
+// the rows, which the value index's postings answer, and T.F <> 7.5 keeps
+// 31/32, which the keepBits sweep selects into the selection bitset. The
+// only allocations are the per-entry answers, the bitset and the gathered
+// output.
 func TestFilterKernelAllocs(t *testing.T) {
 	const rows = 20000
 	db := allocDB(rows)
-	q, err := Parse("SELECT T.V FROM T WHERE T.F = 7.5") // 1/32 of rows survive
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertAllocsPerRow(t, "batch-filter", rows, 0.05, func() {
-		if _, err := execQuery(db, q); err != nil {
+	for _, sql := range []string{
+		"SELECT T.V FROM T WHERE T.F = 7.5",
+		"SELECT T.V FROM T WHERE T.F <> 7.5",
+	} {
+		q, err := Parse(sql)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		assertAllocsPerRow(t, sql, rows, 0.05, func() {
+			if _, err := execQuery(db, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -262,6 +262,65 @@ func (e *executor) gatherSelected(rs *rowset, sel []uint64, out *rowset) error {
 	return nil
 }
 
+// filterEntries keeps the rows of rs whose column i holds dictionary entry
+// id (keep == nil) or an entry set in keep, a bitset over rs.dicts[i] that
+// never holds NullID, in ascending row order. On a pristine scan whose kept
+// entries' postings total at most n/8 rows, the rows come from the table's
+// value index: one list is gathered directly, several mark the selection
+// bitset. Otherwise a branch-free sweep (eqBits or keepBits) selects them.
+// indexed reports whether the value index answered.
+func (e *executor) filterEntries(rs *rowset, i int, id uint32, keep []uint64, out *rowset) (indexed bool, err error) {
+	if lists, ok := keptPostings(rs, i, id, keep); ok {
+		if len(lists) == 1 {
+			return true, e.gatherRows(rs, lists[0], out)
+		}
+		sel := e.ensureBits((rs.n + 63) / 64)
+		clear(sel)
+		for _, rows := range lists {
+			for _, ri := range rows {
+				sel[ri>>6] |= 1 << (uint(ri) & 63)
+			}
+		}
+		return true, e.gatherSelected(rs, sel, out)
+	}
+	sel, err := e.fillFilterBits(rs, i, id, keep)
+	if err != nil {
+		return false, err
+	}
+	return false, e.gatherSelected(rs, sel, out)
+}
+
+// keptPostings returns the non-empty posting lists of the entries
+// filterEntries keeps, when rs is a pristine scan and they total at most
+// rs.n/8 rows; ok is false otherwise, and the caller sweeps.
+func keptPostings(rs *rowset, i int, id uint32, keep []uint64) (lists [][]int, ok bool) {
+	if rs.base == nil {
+		return nil, false
+	}
+	limit := rs.n / 8
+	if keep == nil {
+		rows := rs.base.LookupID(i, id)
+		return [][]int{rows}, len(rows) <= limit
+	}
+	total := 0
+	for w, word := range keep {
+		for ; word != 0; word &= word - 1 {
+			rows := rs.base.LookupID(i, uint32(w*64+bits.TrailingZeros64(word)))
+			if len(rows) == 0 {
+				continue
+			}
+			if total += len(rows); total > limit {
+				return nil, false
+			}
+			lists = append(lists, rows)
+		}
+	}
+	if len(lists) == 0 {
+		lists = [][]int{nil} // no row holds a kept entry
+	}
+	return lists, true
+}
+
 // gatherRows copies the IDs of rows (ascending row numbers) into out.
 func (e *executor) gatherRows(rs *rowset, rows []int, out *rowset) error {
 	out.n = len(rows)
@@ -358,14 +417,24 @@ func (p *probeKeys) block(pids []uint32, sel []uint64, lo, nb int) {
 	neqBits(sel, pids, relation.NoID)
 }
 
+// build is a hash join's build side, answering which build rows hold a key,
+// in ascending order: chains threaded over the rows (c), or, when the build
+// side is a pristine scan joined on one column, that table's value index
+// for the column (t, col), which lists every ID's rows already.
+type build struct {
+	c   *chains
+	t   *relation.Table
+	col int
+}
+
 // probe is the hash join's probe and emit, in two passes over shard ranges
 // of the probe side (shard-parallel when the worker target allows). The
-// first counts each shard's matches from the chains' run lengths; a prefix
-// sum then fixes every shard's output offset, out's IDs are allocated once
-// at their exact size, and the second pass writes each match's left and
-// right IDs in place. Output order is ascending probe row, then ascending
-// build row, whatever the shard layout.
-func (e *executor) probe(left, right *rowset, pk *probeKeys, c *chains, out *rowset) error {
+// first counts each shard's matches from the chains' run lengths or the
+// postings' lengths; a prefix sum then fixes every shard's output offset,
+// out's IDs are allocated once at their exact size, and the second pass
+// writes each match's left and right IDs in place. Output order is
+// ascending probe row, then ascending build row, whatever the shard layout.
+func (e *executor) probe(left, right *rowset, pk *probeKeys, b build, out *rowset) error {
 	lst, rst := len(left.cols), len(right.cols)
 	width := lst + rst
 	n := left.n
@@ -386,6 +455,21 @@ func (e *executor) probe(left, right *rowset, pk *probeKeys, c *chains, out *row
 				nb := min(shHi-lo, relation.BlockSize)
 				pk.block(pids[:], sel[:], lo, nb)
 				for _, k := range selIndexes(idxBuf[:0], sel[:], nb) {
+					if b.t != nil {
+						rows := b.t.LookupID(b.col, pids[k])
+						if !fill {
+							matches += len(rows)
+							continue
+						}
+						lrow := left.row(lo + int(k))
+						for _, rj := range rows {
+							copy(out.enc[o:o+lst], lrow)
+							copy(out.enc[o+lst:o+width], right.row(rj))
+							o += width
+						}
+						continue
+					}
+					c := b.c
 					rj := c.head(pids[k])
 					if rj < 0 {
 						continue

@@ -278,72 +278,70 @@ func benchKernelModes(b *testing.B, inputRows int, op func(e *executor) error) {
 	}
 }
 
-// BenchmarkKernelFilter isolates the equality-filter kernel on a pristine
-// base scan with a float constant — the shape the value index cannot answer
-// (it only keys strings and ints), so the batch path runs the contiguous
-// eqBits kernel over the column blocks. 1/512 of the rows survive, keeping
-// output cost marginal.
+// BenchmarkKernelFilter isolates the equality-filter sweep (eqBitsStrided)
+// on a rowset that is not a pristine scan, so the value index cannot answer
+// it even though the constant's postings total far less than n/8. 1/512 of
+// the rows survive, keeping output cost marginal.
 func BenchmarkKernelFilter(b *testing.B) {
 	db := kernelDB()
 	pred := sqlast.ComparePred{
 		Col: sqlast.Col{Table: "T", Column: "F"}, Op: sqlast.OpEq, Value: float64(3.5)}
 	benchKernelModes(b, kernelBenchRows, func(e *executor) error {
 		e.db = db
-		src := kernelSource(b, e, "T")
-		out, err := e.filterRows(src, pred)
+		src := unindexed(kernelSource(b, e, "T"))
+		out, indexed, err := e.filterRows(src, pred)
 		// 256 full cycles of F plus the tail's one F=3.5 row.
-		if err == nil && out.n != kernelBenchRows/1024+1 {
-			b.Fatalf("filter kept %d rows", out.n)
+		if err == nil && (indexed || out.n != kernelBenchRows/1024+1) {
+			b.Fatalf("filter kept %d rows (indexed %v)", out.n, indexed)
 		}
 		return err
 	})
 }
 
-// BenchmarkKernelJoinProbe isolates the hash-join probe with the probe side
-// 4096x the build side: T's 16384 join keys probe U's 64-key build (dense
-// heads, chains of length one), so 255/256 of the probes miss and the probe
-// loop — fused remap+survivor mask, head lookup — dominates emission.
-func BenchmarkKernelJoinProbe(b *testing.B) {
+// benchKernelJoin runs the join of T's K with build table name's K through
+// benchKernelModes twice: building on the pristine scan, whose value index
+// serves, and under "chains" on the same rows unindexed, so buildChains
+// threads them. want is the expected output row count.
+func benchKernelJoin(b *testing.B, name string, want int) {
 	db := kernelDB()
 	eqs := []sqlast.JoinPred{{
 		Left:  sqlast.Col{Table: "T", Column: "K"},
-		Right: sqlast.Col{Table: "U", Column: "K"},
+		Right: sqlast.Col{Table: name, Column: "K"},
 	}}
-	benchKernelModes(b, kernelBenchRows, func(e *executor) error {
-		e.db = db
-		left := kernelSource(b, e, "T")
-		right := kernelSource(b, e, "U")
-		out, err := e.join(left, right, eqs)
-		// 16 full key cycles emit 64 matches each; the 517-row tail covers
-		// keys 0..63 once more.
-		if err == nil && out.n != (kernelBenchRows/16384)*64+64 {
-			b.Fatalf("join emitted %d rows", out.n)
-		}
-		return err
-	})
+	run := func(b *testing.B, chained bool) {
+		benchKernelModes(b, kernelBenchRows, func(e *executor) error {
+			e.db = db
+			left := kernelSource(b, e, "T")
+			right := kernelSource(b, e, name)
+			if chained {
+				right = unindexed(right)
+			}
+			out, indexed, err := e.join(left, right, eqs)
+			if err == nil && (indexed == chained || out.n != want) {
+				b.Fatalf("join emitted %d rows (indexed %v)", out.n, indexed)
+			}
+			return err
+		})
+	}
+	run(b, false)
+	b.Run("chains", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkKernelJoinProbe isolates the hash-join probe with the probe side
+// 4096x the build side: T's 16384 join keys probe U's 64 keys (one build
+// row each), so 255/256 of the probes miss and the probe loop — fused
+// remap+survivor mask, build lookup — dominates emission. 16 full key
+// cycles emit 64 matches each; the 517-row tail covers keys 0..63 once more.
+func BenchmarkKernelJoinProbe(b *testing.B) {
+	benchKernelJoin(b, "U", (kernelBenchRows/16384)*64+64)
 }
 
 // BenchmarkKernelJoinEmit isolates the join *emission* path: W covers every
 // one of T's 16384 join keys exactly once, so every probe hits and the
-// benchmark is dominated by writing the matches' IDs, which both paths
-// place at prefix-summed offsets in one exactly sized allocation.
-// Throughput is reported as emitted matches per second.
+// benchmark is dominated by writing the matches' IDs, which every path
+// places at prefix-summed offsets in one exactly sized allocation.
 func BenchmarkKernelJoinEmit(b *testing.B) {
-	db := kernelDB()
-	eqs := []sqlast.JoinPred{{
-		Left:  sqlast.Col{Table: "T", Column: "K"},
-		Right: sqlast.Col{Table: "W", Column: "K"},
-	}}
-	benchKernelModes(b, kernelBenchRows, func(e *executor) error {
-		e.db = db
-		left := kernelSource(b, e, "T")
-		right := kernelSource(b, e, "W")
-		out, err := e.join(left, right, eqs)
-		if err == nil && out.n != kernelBenchRows {
-			b.Fatalf("emit join produced %d rows", out.n)
-		}
-		return err
-	})
+	benchKernelJoin(b, "W", kernelBenchRows)
 }
 
 // TestJoinEmitAllocs pins the emit path's allocation amortization: the
@@ -351,7 +349,8 @@ func BenchmarkKernelJoinEmit(b *testing.B) {
 // allocation per emitted match, and at 4 bytes per output cell plus a fixed
 // slack for the build side, on both the sequential batch path and the
 // shard-parallel path (both count the matches first and allocate the output
-// IDs once). A regression to per-row tuple boxing trips the 0.02 allocs/match
+// IDs once), building on W's value index and on chains threaded over W's
+// rows. A regression to per-row tuple boxing trips the 0.02 allocs/match
 // budget by 50x; carrying boxed values beside the IDs (a 16-byte interface
 // per cell and a 24-byte row header) trips the byte budget about fivefold.
 func TestJoinEmitAllocs(t *testing.T) {
@@ -361,11 +360,14 @@ func TestJoinEmitAllocs(t *testing.T) {
 		Right: sqlast.Col{Table: "W", Column: "K"},
 	}}
 	for _, mode := range []struct {
-		name string
-		par  int
+		name    string
+		par     int
+		chained bool
 	}{
-		{"batch", 0},
-		{"sharded", runtime.GOMAXPROCS(0)},
+		{"batch", 0, false},
+		{"sharded", runtime.GOMAXPROCS(0), false},
+		{"batch-chains", 0, true},
+		{"sharded-chains", runtime.GOMAXPROCS(0), true},
 	} {
 		e := &executor{db: db, par: mode.par}
 		left, err := pristineScan(e, "T")
@@ -375,6 +377,9 @@ func TestJoinEmitAllocs(t *testing.T) {
 		right, err := pristineScan(e, "W")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mode.chained {
+			right = unindexed(right)
 		}
 		// testing.AllocsPerRun pins GOMAXPROCS to 1 for its measurement,
 		// which would collapse the sharded leg onto the sequential path —
@@ -386,12 +391,12 @@ func TestJoinEmitAllocs(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			out, err := e.join(left, right, eqs)
+			out, indexed, err := e.join(left, right, eqs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.n != kernelBenchRows {
-				t.Fatalf("emit join produced %d rows", out.n)
+			if out.n != kernelBenchRows || indexed == mode.chained {
+				t.Fatalf("%s: emit join produced %d rows (indexed %v)", mode.name, out.n, indexed)
 			}
 		}
 		runtime.ReadMemStats(&after)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -95,9 +96,9 @@ type rowset struct {
 	enc   []uint32
 	n     int
 	// base is the table this rowset scans when its rows are exactly the
-	// table's, in order (no filter or join applied yet): equality filters
-	// on such a pristine scan can use the table's value index, and the
-	// kernels its column-major encoding. nil otherwise.
+	// table's, in order (no filter or join applied yet): filters on such a
+	// pristine scan and joins that build on it can use the table's value
+	// index, and the kernels its column-major encoding. nil otherwise.
 	base *relation.Table
 	// key is the canonical subplan identity used by the memo; empty when
 	// the rowset is not a cacheable fragment or no memo is attached.
@@ -212,8 +213,7 @@ func (e *executor) query(q *sqlast.Query) (*Result, error) {
 // executor boxes values: every ID decodes to its dictionary's first-seen
 // value, into one allocation for all cells and one for the row headers. An
 // empty GROUP BY result keeps nil Rows and every other empty result an
-// empty slice, which callers that serialize Rows (JSON null against [])
-// can tell apart.
+// empty slice; the public kwagg.Result makes both an empty slice.
 func decode(rs *rowset, grouped bool) *Result {
 	nc := len(rs.cols)
 	res := &Result{Columns: make([]string, nc)}
@@ -249,7 +249,7 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush
 		e.top = fl
 	}
 	acc := fl.sources[fl.start]
-	for _, st := range fl.steps {
+	for si, st := range fl.steps {
 		src := fl.sources[st.src]
 		if err := e.checkpoint(); err != nil {
 			return nil, err
@@ -264,7 +264,11 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush
 			key = "join(" + acc.key + ")+(" + src.key + ")|on:" + strings.Join(ons, ",")
 		}
 		joined, err := e.memoized(key, func() (*rowset, error) {
-			return e.join(acc, src, st.eqs)
+			out, indexed, err := e.join(acc, src, st.eqs)
+			if plan != nil {
+				plan.Steps[si].Access = joinAccess(indexed)
+			}
+			return out, err
 		})
 		if err != nil {
 			return nil, err
@@ -277,7 +281,7 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush
 		if fl.consumed[pi] {
 			continue
 		}
-		filtered, err := e.filterRows(acc, p)
+		filtered, _, err := e.filterRows(acc, p)
 		if err != nil {
 			return nil, err
 		}
@@ -294,11 +298,6 @@ func (e *executor) queryRowset(q *sqlast.Query, topLevel bool, pushes []semiPush
 	res, err := e.project(acc, q)
 	if err != nil {
 		return nil, err
-	}
-	if q.Distinct {
-		if res, err = e.distinctRowset(res); err != nil {
-			return nil, err
-		}
 	}
 	if len(order) > 0 {
 		orderRowset(res, order, q.OrderBy)
@@ -395,23 +394,41 @@ func (e *executor) evalFrom(q *sqlast.Query, pushes []semiPush, plan *Plan) (*fr
 		if err != nil {
 			return err
 		}
-		pristine := rs
-		if rs, err = e.filterLocal(rs, local[i]); err != nil {
+		var ps *PlanSource
+		if plan != nil {
+			ps = &plan.Sources[i]
+			*ps = PlanSource{Alias: tr.Alias, Name: tr.Name, Derived: sub}
+			if tr.Subquery != nil {
+				ps.Name = "(subquery)"
+			}
+		}
+		if rs, err = e.filterLocal(rs, local[i], ps); err != nil {
 			return err
 		}
 		if tr.Subquery == nil {
 			// A base scan takes its pushes after its local filters, which
 			// may still answer from the value index of the pristine scan.
 			for _, p := range mine {
-				if rs, err = e.semiFilter(rs, p.col, p.keys); err != nil {
+				var indexed bool
+				if rs, indexed, err = e.semiFilter(rs, p.col, p.keys); err != nil {
 					return err
+				}
+				if ps != nil {
+					ps.Semi = append(ps.Semi, p.String()+filterAccess(indexed))
 				}
 			}
 		}
 		fl.sources[i] = rs
 		restricted[i] = len(local[i]) > 0 || len(all) > 0 || (tr.Subquery != nil && len(tr.Subquery.Where) > 0)
-		if plan != nil {
-			plan.Sources[i] = planSource(tr, pristine, rs, local[i], all, sub)
+		if ps != nil {
+			ps.Rows = rs.n
+			if tr.Subquery != nil {
+				// The pushes were handed down: the derived plan's scans
+				// record how they ran.
+				for _, p := range all {
+					ps.Semi = append(ps.Semi, p.String())
+				}
+			}
 		}
 		return nil
 	}
@@ -491,8 +508,9 @@ func (e *executor) evalFrom(q *sqlast.Query, pushes []semiPush, plan *Plan) (*fr
 }
 
 // filterLocal applies the predicates local to one source as a unit, so the
-// filtered rowset is memoized under its canonical scan-plus-filters key.
-func (e *executor) filterLocal(rs *rowset, preds []sqlast.Pred) (*rowset, error) {
+// filtered rowset is memoized under its canonical scan-plus-filters key. ps,
+// when non-nil, records each predicate with the access path it ran.
+func (e *executor) filterLocal(rs *rowset, preds []sqlast.Pred, ps *PlanSource) (*rowset, error) {
 	if len(preds) == 0 {
 		return rs, nil
 	}
@@ -509,9 +527,12 @@ func (e *executor) filterLocal(rs *rowset, preds []sqlast.Pred) (*rowset, error)
 	return e.memoized(key, func() (*rowset, error) {
 		cur := rs
 		for _, p := range preds {
-			next, err := e.filterRows(cur, p)
+			next, indexed, err := e.filterRows(cur, p)
 			if err != nil {
 				return nil, err
+			}
+			if ps != nil {
+				ps.Pushed = append(ps.Pushed, p.String()+filterAccess(indexed))
 			}
 			cur = next
 		}
@@ -693,83 +714,54 @@ func localPred(rs *rowset, p sqlast.Pred) bool {
 	}
 }
 
-// keyableConst reports whether an equality constant is answered through the
-// per-table value index on a pristine scan: strings and ints, the constants
-// keyword matching generates. Other constants (floats) take the dictionary-ID
-// kernel instead; both decide equality by the same dictionary ID.
-func keyableConst(v relation.Value) bool {
-	switch v.(type) {
-	case string, int64:
-		return true
-	default:
-		return false
-	}
-}
-
-// indexableEq reports whether p is an equality against a constant that the
-// per-table value index can answer on a pristine base-table scan.
-func indexableEq(rs *rowset, p sqlast.Pred) bool {
-	pp, ok := p.(sqlast.ComparePred)
-	return ok && pp.Op == sqlast.OpEq && rs.base != nil && keyableConst(pp.Value)
-}
-
-func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (*rowset, error) {
-	out := &rowset{cols: rs.cols, dicts: rs.dicts}
+// filterRows keeps the rows of rs that satisfy p, in ascending row order.
+// indexed reports whether they came from the value index of a pristine scan
+// (see filterEntries) rather than a sweep.
+func (e *executor) filterRows(rs *rowset, p sqlast.Pred) (out *rowset, indexed bool, err error) {
+	out = &rowset{cols: rs.cols, dicts: rs.dicts}
 	if rs.key != "" {
 		out.key = rs.key + "|f:" + p.String()
 	}
-	var (
-		sel []uint64
-		err error
-	)
+	var sel []uint64
 	switch pp := p.(type) {
 	case sqlast.ComparePred:
-		var i int
-		if i, err = rs.resolve(pp.Col); err != nil {
-			return nil, err
+		i, err := rs.resolve(pp.Col)
+		if err != nil {
+			return nil, false, err
 		}
 		if pp.Op != sqlast.OpEq {
-			sel, err = e.selectEntries(rs, i, func(v relation.Value) bool {
+			return e.selectEntries(rs, i, func(v relation.Value) bool {
 				return holds(pp.Op, relation.Compare(v, pp.Value))
-			})
-			break
+			}, out)
 		}
 		// Equality selects one dictionary ID, which ID never returns for
 		// NULL, so NULL rows never match.
 		id, ok := rs.dicts[i].ID(pp.Value)
 		if !ok {
-			return out, nil
+			return out, rs.base != nil, nil // no row holds the constant
 		}
-		if indexableEq(rs, p) {
-			// Index lookup instead of a scan: the value index's postings of
-			// the ID are exactly the matching rows, in ascending order, so
-			// scan order is preserved.
-			return out, e.gatherRows(rs, rs.base.LookupID(i, id), out)
-		}
-		// Elsewhere (post-filter, post-join or subquery output, or a float
-		// constant) a branch-free per-block kernel compares IDs into the
-		// selection bitset.
-		sel, err = e.fillFilterBits(rs, i, id, nil)
+		indexed, err = e.filterEntries(rs, i, id, nil, out)
+		return out, indexed, err
 	case sqlast.ContainsPred:
-		var i int
-		if i, err = rs.resolve(pp.Col); err != nil {
-			return nil, err
+		i, err := rs.resolve(pp.Col)
+		if err != nil {
+			return nil, false, err
 		}
-		sel, err = e.selectEntries(rs, i, func(v relation.Value) bool {
+		return e.selectEntries(rs, i, func(v relation.Value) bool {
 			s, ok := v.(string)
 			return ok && relation.ContainsFold(s, pp.Needle)
-		})
+		}, out)
 	case sqlast.JoinPred:
 		sel, err = e.selectColumns(rs, pp.Left, sqlast.OpEq, pp.Right)
 	case sqlast.ColComparePred:
 		sel, err = e.selectColumns(rs, pp.Left, pp.Op, pp.Right)
 	default:
-		return nil, fmt.Errorf("sqldb: unsupported predicate %T", p)
+		return nil, false, fmt.Errorf("sqldb: unsupported predicate %T", p)
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return out, e.gatherSelected(rs, sel, out)
+	return out, false, e.gatherSelected(rs, sel, out)
 }
 
 // holds reports whether a comparison result c satisfies op.
@@ -791,30 +783,30 @@ func holds(op sqlast.CmpOp, c int) bool {
 	return false
 }
 
-// selectEntries fills the selection bitset of the rows of rs whose column i
-// holds a dictionary entry keep accepts, judged by the entry's stored value;
-// NullID is never selected. When the dictionary is no larger than the
-// rowset, keep runs once per entry (Dict.Select) and the rows are selected
-// by a branch-free lookup into the per-entry answers. Otherwise it runs once
-// per row on the decoded entry, so a small rowset over a large column does
-// not pay for the whole dictionary.
-func (e *executor) selectEntries(rs *rowset, i int, keep func(relation.Value) bool) ([]uint64, error) {
+// selectEntries keeps in out the rows of rs whose column i holds a
+// dictionary entry keep accepts, judged by the entry's stored value; NullID
+// is never kept. On a pristine scan, or when the dictionary is no larger
+// than the rowset, keep runs once per entry (Dict.Select) and filterEntries
+// selects the rows. Otherwise it runs once per row on the decoded entry, so
+// a small rowset over a large column does not pay for the whole dictionary.
+func (e *executor) selectEntries(rs *rowset, i int, keep func(relation.Value) bool, out *rowset) (*rowset, bool, error) {
 	d := rs.dicts[i]
-	if d.Len() <= rs.n {
-		return e.fillFilterBits(rs, i, 0, d.Select(keep))
+	if rs.base != nil || d.Len() <= rs.n {
+		indexed, err := e.filterEntries(rs, i, 0, d.Select(keep), out)
+		return out, indexed, err
 	}
 	sel := e.ensureBits((rs.n + 63) / 64)
 	clear(sel)
 	st := len(rs.cols)
 	for ri := 0; ri < rs.n; ri++ {
 		if err := e.step(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if id := rs.enc[ri*st+i]; id != relation.NullID && keep(d.Value(id)) {
 			sel[ri>>6] |= 1 << (uint(ri) & 63)
 		}
 	}
-	return sel, nil
+	return out, false, e.gatherSelected(rs, sel, out)
 }
 
 // selectColumns fills the selection bitset of the rows of rs where column l
@@ -856,55 +848,64 @@ func (e *executor) selectColumns(rs *rowset, lc sqlast.Col, op sqlast.CmpOp, rc 
 	return sel, nil
 }
 
+// indexJoin reports whether a join of right on eqs reads right's value
+// index instead of threading chains: one key column over a pristine scan.
+func indexJoin(right *rowset, eqs []sqlast.JoinPred) bool {
+	return len(eqs) == 1 && right.base != nil
+}
+
 // join combines two rowsets. With equality predicates it hash-joins over
-// dictionary IDs: the build side (right) is threaded into chains per key,
-// and each probe row's key is translated into the build's ID space through
-// a remap table (one key column) or folded into a composite key number
-// (several, see compositeKeys). Without predicates it produces the cross
-// product.
-func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (*rowset, error) {
+// dictionary IDs: each probe row's key is translated into the build side's
+// (right's) ID space through a remap table (one key column) or folded into
+// a composite key number (several, see compositeKeys), and looked up in the
+// build side's value index when indexJoin holds, or else in chains threaded
+// per key over its rows. Without predicates it produces the cross product.
+func (e *executor) join(left, right *rowset, eqs []sqlast.JoinPred) (out *rowset, indexed bool, err error) {
 	width := len(left.cols) + len(right.cols)
-	out := &rowset{cols: make([]boundCol, 0, width), dicts: make([]*relation.Dict, 0, width)}
+	out = &rowset{cols: make([]boundCol, 0, width), dicts: make([]*relation.Dict, 0, width)}
 	out.cols = append(append(out.cols, left.cols...), right.cols...)
 	out.dicts = append(append(out.dicts, left.dicts...), right.dicts...)
 	if len(eqs) == 0 {
 		for li := 0; li < left.n; li++ {
 			for ri := 0; ri < right.n; ri++ {
 				if err := e.step(); err != nil {
-					return nil, err
+					return nil, false, err
 				}
 				out.enc = append(append(out.enc, left.row(li)...), right.row(ri)...)
 			}
 		}
 		out.n = left.n * right.n
-		return out, nil
+		return out, false, nil
 	}
 	lidx := make([]int, len(eqs))
 	ridx := make([]int, len(eqs))
 	for k, jp := range eqs {
 		li, err := left.resolve(jp.Left)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		ri, err := right.resolve(jp.Right)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		lidx[k], ridx[k] = li, ri
 	}
 	if len(eqs) == 1 {
 		li, ri := lidx[0], ridx[0]
-		c := buildChains(right.enc, len(right.cols), ri, right.n, right.dicts[ri].Len())
+		b := build{t: right.base, col: ri}
+		if indexed = indexJoin(right, eqs); !indexed {
+			b = build{c: buildChains(right.enc, len(right.cols), ri, right.n, right.dicts[ri].Len())}
+		}
 		pk := &probeKeys{col: colView(left, li), enc: left.enc, st: len(left.cols), off: li,
 			remap: left.dicts[li].RemapCached(right.dicts[ri])}
-		return out, e.probe(left, right, pk, c, out)
+		return out, indexed, e.probe(left, right, pk, b, out)
 	}
 	bkeys, pkeys, space, err := e.compositeKeys(left, right, lidx, ridx)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c := buildChains(bkeys, 1, 0, right.n, space)
-	return out, e.probe(left, right, &probeKeys{ids: pkeys}, c, out)
+	return out, false, e.probe(left, right, &probeKeys{ids: pkeys}, build{c: c}, out)
 }
 
 // compositeKeys numbers the distinct tuples of right's key columns ridx
@@ -955,9 +956,11 @@ func (e *executor) compositeKeys(left, right *rowset, lidx, ridx []int) (bkeys, 
 	return bkeys, pkeys, space, nil
 }
 
-// project evaluates the SELECT list, applying GROUP BY and aggregates.
-// Pass-through columns keep their dictionaries; every aggregate output gets
-// a per-result dictionary (relation.EncodeColumn).
+// project evaluates the SELECT list, applying GROUP BY, aggregates and
+// DISTINCT. Pass-through columns keep their dictionaries; every aggregate
+// output gets a per-result dictionary (relation.EncodeColumn). DISTINCT over
+// plain columns dedupes rs before anything is copied, and over aggregate or
+// GROUP BY output dedupes the projection.
 func (e *executor) project(rs *rowset, q *sqlast.Query) (*rowset, error) {
 	plan, err := resolveSelect(rs, q.Select)
 	if err != nil {
@@ -973,15 +976,20 @@ func (e *executor) project(rs *rowset, q *sqlast.Query) (*rowset, error) {
 	st := len(rs.cols)
 
 	if !hasAgg && len(q.GroupBy) == 0 {
+		idx := make([]int, nc)
 		for k, s := range plan {
 			out.dicts[k] = rs.dicts[s.col]
+			idx[k] = s.col
+		}
+		if q.Distinct {
+			return out, e.distinctRows(rs, idx, out)
 		}
 		out.n = rs.n
 		out.enc = make([]uint32, rs.n*nc)
 		for ri := 0; ri < rs.n; ri++ {
 			src, dst := rs.row(ri), out.enc[ri*nc:(ri+1)*nc]
-			for k, s := range plan {
-				dst[k] = src[s.col]
+			for k, c := range idx {
+				dst[k] = src[c]
 			}
 		}
 		return out, nil
@@ -1043,7 +1051,15 @@ func (e *executor) project(rs *rowset, q *sqlast.Query) (*rowset, error) {
 			out.enc[slot*nc+k] = id
 		}
 	}
-	return out, nil
+	if !q.Distinct {
+		return out, nil
+	}
+	idx := make([]int, nc)
+	for k := range idx {
+		idx[k] = k
+	}
+	res := &rowset{cols: out.cols, dicts: out.dicts}
+	return res, e.distinctRows(out, idx, res)
 }
 
 // selItem is one resolved SELECT item: a pass-through column or an
@@ -1252,62 +1268,76 @@ func outputName(it sqlast.SelectItem) string {
 	}
 }
 
-// distinctRowset keeps the first row of every distinct ID tuple, in input
-// order: one or two columns de-duplicate through a bitset or a set over
-// their packed IDs, more columns through the grouping kernel's first rows.
-func (e *executor) distinctRowset(rs *rowset) (*rowset, error) {
-	st := len(rs.cols)
-	sel := e.ensureBits((rs.n + 63) / 64)
-	clear(sel)
-	mark := func(ri int) { sel[ri>>6] |= 1 << (uint(ri) & 63) }
-	switch {
-	case st == 1 && rs.dicts[0].Len() <= 4*rs.n+1024:
-		seen := make([]uint64, (rs.dicts[0].Len()+63)/64)
-		for ri, id := range rs.enc[:rs.n] {
-			if w, b := id>>6, uint64(1)<<(id&63); seen[w]&b == 0 {
-				seen[w] |= b
-				mark(ri)
-			}
-		}
-	case st == 2 && int64(rs.dicts[0].Len())*int64(rs.dicts[1].Len()) <= 64*int64(rs.n)+4096:
-		// The combined ID space is small: de-duplicate through a bitset
-		// indexed by id0*nd1+id1 instead of hashing at all.
-		nd1 := int64(rs.dicts[1].Len())
-		seen := make([]uint64, (int64(rs.dicts[0].Len())*nd1+63)/64)
-		for ri := 0; ri < rs.n; ri++ {
-			key := int64(rs.enc[ri*2])*nd1 + int64(rs.enc[ri*2+1])
-			if w, b := key/64, uint64(1)<<(key%64); seen[w]&b == 0 {
-				seen[w] |= b
-				mark(ri)
-			}
-		}
-	case st <= 2:
-		seen := make(map[uint64]struct{}, rs.n)
-		for ri := 0; ri < rs.n; ri++ {
-			key := uint64(rs.enc[ri*st])
-			if st == 2 {
-				key |= uint64(rs.enc[ri*2+1]) << 32
-			}
-			if _, ok := seen[key]; !ok {
-				seen[key] = struct{}{}
-				mark(ri)
-			}
-		}
-	default:
-		all := make([]int, st)
-		for i := range all {
-			all[i] = i
-		}
-		_, firsts, _, err := e.batchGroupSlots(rs, all)
-		if err != nil {
-			return nil, err
-		}
-		for _, ri := range firsts {
-			mark(ri)
+// hashMul is the multiplier of the DISTINCT kernel's hash (2^64 divided by
+// the golden ratio, as in Fibonacci hashing).
+const hashMul = 0x9E3779B97F4A7C15
+
+// distinctRows writes into out, in row order, columns cols of the first row
+// of every distinct tuple of those columns in rs. One pass dedupes through a
+// flat open-addressing table of row numbers, hashed on the tuple's IDs and
+// compared on them (NULL is one value: NullID is an ID), and marks the kept
+// rows in the selection bitset; a second copies out only their selected
+// IDs. The table has the next power of two at or above twice the smaller of
+// the row count and the product of the columns' dictionary sizes, so it is
+// at most half full.
+func (e *executor) distinctRows(rs *rowset, cols []int, out *rowset) error {
+	n, st := rs.n, len(rs.cols)
+	if n == 0 {
+		return nil
+	}
+	bound := 1
+	for _, c := range cols {
+		if bound = min(bound*rs.dicts[c].Len(), n); bound == n {
+			break
 		}
 	}
-	out := &rowset{cols: rs.cols, dicts: rs.dicts}
-	return out, e.gatherSelected(rs, sel, out)
+	shift := 64 - bits.Len(uint(2*bound-1)) // the table has 1<<(64-shift) slots
+	table := make([]int32, 1<<(64-shift))
+	mask := uint64(len(table) - 1)
+	sel := e.ensureBits((n + 63) / 64)
+	clear(sel)
+	kept := 0
+	for lo := 0; lo < n; lo += relation.BlockSize {
+		hi := min(lo+relation.BlockSize, n)
+		if err := e.stepN(hi - lo); err != nil {
+			return err
+		}
+		for ri := lo; ri < hi; ri++ {
+			row := rs.enc[ri*st : ri*st+st]
+			h := uint64(0)
+			for _, c := range cols {
+				h = (h ^ uint64(row[c])) * hashMul
+			}
+		probe:
+			for s := h >> shift; ; s = (s + 1) & mask {
+				r := table[s]
+				if r == 0 {
+					table[s] = int32(ri + 1)
+					sel[ri>>6] |= 1 << (uint(ri) & 63)
+					kept++
+					break
+				}
+				prev := rs.enc[int(r-1)*st:]
+				for _, c := range cols {
+					if prev[c] != row[c] {
+						continue probe
+					}
+				}
+				break
+			}
+		}
+	}
+	out.n = kept
+	out.enc = make([]uint32, 0, kept*len(cols))
+	for w, word := range sel {
+		for ; word != 0; word &= word - 1 {
+			row := rs.row(w*64 + bits.TrailingZeros64(word))
+			for _, c := range cols {
+				out.enc = append(out.enc, row[c])
+			}
+		}
+	}
+	return nil
 }
 
 // orderColumns resolves q's ORDER BY items to positions in its SELECT list,

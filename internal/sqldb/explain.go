@@ -35,6 +35,7 @@ type PlanStep struct {
 	Alias    string
 	Strategy string // "hash join" or "cross join"
 	On       []string
+	Access   string // "value index" when the build side is a pristine table's value index
 }
 
 // String renders the plan as an indented tree.
@@ -67,7 +68,11 @@ func (p *Plan) write(b *strings.Builder, indent string) {
 		if len(st.On) > 0 {
 			on = " on " + strings.Join(st.On, " AND ")
 		}
-		fmt.Fprintf(b, "%s  %d. %s %s%s\n", indent, i+1, st.Strategy, st.Alias, on)
+		access := ""
+		if st.Access != "" {
+			access = " [" + st.Access + "]"
+		}
+		fmt.Fprintf(b, "%s  %d. %s %s%s%s\n", indent, i+1, st.Strategy, st.Alias, on, access)
 	}
 	if len(p.Post) > 0 {
 		fmt.Fprintf(b, "%s  post-filter: %s\n", indent, strings.Join(p.Post, " AND "))
@@ -87,33 +92,32 @@ func Explain(db *relation.Database, q *sqlast.Query) (*Plan, error) {
 	return plan, nil
 }
 
-// planSource describes FROM entry tr after evaluation: pristine is the rowset
-// before its local filters (whose first predicate may use the value index of
-// a pristine scan), rs the rowset the joins see.
-func planSource(tr sqlast.TableRef, pristine, rs *rowset, local []sqlast.Pred, pushes []semiPush, derived *Plan) PlanSource {
-	ps := PlanSource{Alias: tr.Alias, Name: tr.Name, Rows: rs.n, Derived: derived}
-	if tr.Subquery != nil {
-		ps.Name = "(subquery)"
+// filterAccess is the tag Explain prints after a pushed filter or semi-join
+// push: whether its rows came from the value index or a sweep.
+func filterAccess(indexed bool) string {
+	if indexed {
+		return " [index lookup]"
 	}
-	for k, p := range local {
-		access := " [scan]"
-		if k == 0 && indexableEq(pristine, p) {
-			access = " [index lookup]"
-		}
-		ps.Pushed = append(ps.Pushed, p.String()+access)
+	return " [scan]"
+}
+
+// joinAccess is a join step's Access: whether its build side was a value
+// index (see indexJoin) or chains threaded over the rows.
+func joinAccess(indexed bool) string {
+	if indexed {
+		return "value index"
 	}
-	for _, p := range pushes {
-		ps.Semi = append(ps.Semi, p.String())
-	}
-	return ps
+	return ""
 }
 
 // record fills the plan's join order and post-join predicates from the
-// evaluated FROM list.
+// evaluated FROM list, with the access path each join will take; a query
+// that runs its joins overwrites that with the path each join ran.
 func (p *Plan) record(q *sqlast.Query, fl *fromList) {
 	p.Start = q.From[fl.start].Alias
 	for _, st := range fl.steps {
-		step := PlanStep{Alias: q.From[st.src].Alias, Strategy: "cross join"}
+		step := PlanStep{Alias: q.From[st.src].Alias, Strategy: "cross join",
+			Access: joinAccess(indexJoin(fl.sources[st.src], st.eqs))}
 		if len(st.eqs) > 0 {
 			step.Strategy = "hash join"
 		}

@@ -2,6 +2,7 @@ package sqldb_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"kwagg"
@@ -64,5 +65,48 @@ func TestExplainJoinOrderMatchesExec(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExplainAccessMatchesExec replays every bundled dataset workload and
+// checks, for each interpretation, that Explain's access tags are the paths
+// execution took: every join step's [value index] (which Explain predicts
+// for the outermost query's joins without running them) against the path
+// each join ran, and every pushed filter's and semi-join push's
+// [index lookup] or [scan], which both record as the filter runs.
+func TestExplainAccessMatchesExec(t *testing.T) {
+	tags := 0
+	for name, queries := range kwagg.DatasetWorkloads() {
+		build, ok := explainSetups[name]
+		if !ok {
+			t.Fatalf("workload %q has no setup — extend explainSetups", name)
+		}
+		s, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kw := range queries {
+			ins, err := s.Ours.Interpret(kw, 0)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, kw, err)
+			}
+			for i, in := range ins {
+				plan, err := sqldb.Explain(s.Ours.Data, in.SQL)
+				if err != nil {
+					t.Fatalf("%s %s #%d: explain: %v", name, kw, i+1, err)
+				}
+				ran, err := sqldb.ExecPlan(s.Ours.Data, in.SQL)
+				if err != nil {
+					t.Fatalf("%s %s #%d: exec: %v", name, kw, i+1, err)
+				}
+				if got, want := plan.String(), ran.String(); got != want {
+					t.Errorf("%s %s #%d: Explain prints\n%s\nexecution ran\n%s", name, kw, i+1, got, want)
+				}
+				tags += strings.Count(plan.String(), " [")
+			}
+		}
+	}
+	if tags == 0 {
+		t.Fatal("no access tags printed")
 	}
 }

@@ -27,3 +27,24 @@ func ExecJoinOrder(db *relation.Database, q *sqlast.Query) ([]string, error) {
 	}
 	return order, nil
 }
+
+// ExecPlan executes q as ExecOpts does and returns the plan it recorded on
+// the way: Explain's plan, except that every join step carries the access
+// path the join ran instead of the one Explain predicts.
+func ExecPlan(db *relation.Database, q *sqlast.Query) (*Plan, error) {
+	e := &executor{db: db}
+	plan := &Plan{}
+	if _, err := e.queryRowset(q, true, nil, plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// unindexed returns rs with its base cleared: the same rows, which no
+// longer read as a pristine scan, so filters sweep them and joins thread
+// chains over them instead of reading the table's value index.
+func unindexed(rs *rowset) *rowset {
+	c := *rs
+	c.base = nil
+	return &c
+}

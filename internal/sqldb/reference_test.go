@@ -212,7 +212,7 @@ func refExec(db *relation.Database, q *sqlast.Query) (*Result, error) {
 		res = refDistinct(res)
 	}
 	if len(q.OrderBy) > 0 {
-		if err := refOrderBy(res, q.OrderBy); err != nil {
+		if err := refOrderBy(res, q, resolve); err != nil {
 			return nil, err
 		}
 	}
@@ -327,20 +327,46 @@ func refDistinct(res *Result) *Result {
 	return out
 }
 
-func refOrderBy(res *Result, items []sqlast.OrderItem) error {
+// refOrderBy sorts res by q's ORDER BY items, each resolved against the
+// SELECT list as sqlite3 resolves it: an unqualified name is the alias or
+// output name of exactly one item, and otherwise the column it names in the
+// FROM list (resolve) must be what some item selects — so a qualified
+// B.X orders by the item selecting B's X, never by another table's X.
+func refOrderBy(res *Result, q *sqlast.Query, resolve func(sqlast.Col) (int, error)) error {
+	items := q.OrderBy
 	idxs := make([]int, len(items))
 	for k, o := range items {
-		found := -1
-		for i, c := range res.Columns {
-			if strings.EqualFold(c, o.Col.Column) || strings.EqualFold(c, o.Col.String()) {
-				found = i
-				break
+		var named []int
+		if o.Col.Table == "" {
+			for j, it := range q.Select {
+				if strings.EqualFold(outputName(it), o.Col.Column) {
+					named = append(named, j)
+				}
 			}
 		}
-		if found < 0 {
+		switch {
+		case len(named) > 1:
+			return fmt.Errorf("ref: ORDER BY %s names %d result columns", o.Col, len(named))
+		case len(named) == 1:
+			idxs[k] = named[0]
+			continue
+		}
+		want, err := resolve(o.Col)
+		if err != nil {
+			return fmt.Errorf("ref: ORDER BY %s: %v", o.Col, err)
+		}
+		idxs[k] = -1
+		for j, it := range q.Select {
+			if ce, ok := it.Expr.(sqlast.ColExpr); ok {
+				if got, err := resolve(ce.Col); err == nil && got == want {
+					idxs[k] = j
+					break
+				}
+			}
+		}
+		if idxs[k] < 0 {
 			return fmt.Errorf("ref: ORDER BY column %s not in result", o.Col)
 		}
-		idxs[k] = found
 	}
 	sort.SliceStable(res.Rows, func(a, b int) bool {
 		for k, i := range idxs {
@@ -520,9 +546,10 @@ type refTable struct {
 }
 
 // diffRandomAgainstReference runs 500 seeded random statements over base
-// tables, then 300 over derived tables (see randomDerivedQuery), through
-// ExecOpts and refExec and fails on the first divergence in validity or in
-// the sorted rows.
+// tables, 300 over derived tables (see randomDerivedQuery) and 200 with a
+// qualified ORDER BY (see randomOrderedQuery), through ExecOpts and refExec
+// and fails on the first divergence in validity or in the sorted rows — or
+// in the rows in order, when the ORDER BY covers every selected column.
 func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
 	t.Helper()
 	r := rand.New(rand.NewSource(99))
@@ -532,7 +559,7 @@ func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
 		tables = append(tables, refTable{tb.Schema.Name, tb.Schema.AttrNames()})
 	}
 	intAttrs := map[string]bool{"Age": true, "Credit": true, "Price": true}
-	check := func(trial int, q *sqlast.Query) {
+	check := func(trial int, q *sqlast.Query, ordered bool) {
 		t.Helper()
 		got, errGot := execQuery(db, q)
 		want, errWant := refExec(db, q)
@@ -545,6 +572,9 @@ func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
 			return
 		}
 		g, w := canonicalRows(got), canonicalRows(want)
+		if ordered {
+			g, w = rowsAsStrings(got), rowsAsStrings(want)
+		}
 		if len(g) != len(w) {
 			t.Fatalf("trial %d: row counts differ (%d vs %d)\n%s", trial, len(g), len(w), q)
 		}
@@ -610,10 +640,98 @@ func diffRandomAgainstReference(t *testing.T, db *relation.Database) {
 			})
 		}
 
-		check(trial, q)
+		check(trial, q, false)
 	}
 	for trial := 500; trial < 800; trial++ {
-		check(trial, randomDerivedQuery(r, tables, intAttrs))
+		check(trial, randomDerivedQuery(r, tables, intAttrs), false)
+	}
+	for trial := 800; trial < 1000; trial++ {
+		q, ordered := randomOrderedQuery(r, tables)
+		check(trial, q, ordered)
+	}
+}
+
+// randomOrderedQuery joins two sources, aliased A and B, whose relations
+// share a column name c (a relation shares every name with itself), selects
+// A.c and B.c and at times one more column, and orders by the selected
+// columns qualified, in random order and direction: ORDER BY B.c must sort
+// on B's c, not on the first result column named c. ordered reports whether
+// the ORDER BY covers every selected column, which defines the row order.
+func randomOrderedQuery(r *rand.Rand, tables []refTable) (q *sqlast.Query, ordered bool) {
+	type pair struct {
+		a, b   refTable
+		shared []string
+	}
+	var pairs []pair
+	for _, a := range tables {
+		for _, b := range tables {
+			p := pair{a: a, b: b}
+			for _, c := range a.attrs {
+				if slices.Contains(b.attrs, c) {
+					p.shared = append(p.shared, c)
+				}
+			}
+			pairs = append(pairs, p)
+		}
+	}
+	p := pairs[r.Intn(len(pairs))]
+	for len(p.shared) == 0 {
+		p = pairs[r.Intn(len(pairs))]
+	}
+	c, j := p.shared[r.Intn(len(p.shared))], p.shared[r.Intn(len(p.shared))]
+	q = &sqlast.Query{
+		Distinct: r.Intn(4) == 0,
+		From:     []sqlast.TableRef{{Name: p.a.name, Alias: "A"}, {Name: p.b.name, Alias: "B"}},
+		Where:    []sqlast.Pred{sqlast.JoinPred{Left: sqlast.Col{Table: "A", Column: j}, Right: sqlast.Col{Table: "B", Column: j}}},
+	}
+	sel := []sqlast.Col{{Table: "A", Column: c}, {Table: "B", Column: c}}
+	if r.Intn(2) == 0 {
+		sel = append(sel, sqlast.Col{Table: "B", Column: p.b.attrs[r.Intn(len(p.b.attrs))]})
+	}
+	for _, col := range sel {
+		q.Select = append(q.Select, sqlast.SelectItem{Expr: sqlast.ColExpr{Col: col}})
+	}
+	n := len(sel)
+	if r.Intn(4) == 0 {
+		n = 1 + r.Intn(len(sel)) // a partial ORDER BY still resolves, unordered
+	}
+	for _, k := range r.Perm(len(sel))[:n] {
+		q.OrderBy = append(q.OrderBy, sqlast.OrderItem{Col: sel[k], Desc: r.Intn(2) == 0})
+	}
+	return q, n == len(sel)
+}
+
+// TestReferenceOrderByQualified pins the reference evaluator's ORDER BY
+// resolution on two sources sharing a column name: ORDER BY B.X sorts on
+// B's X (sqlite3 answers a2|b, then a1|z), not on A's X, the first result
+// column named X.
+func TestReferenceOrderByQualified(t *testing.T) {
+	db := relation.NewDatabase("orderby")
+	a := db.AddSchema(relation.NewSchema("A", "K INT", "X").Key("K"))
+	b := db.AddSchema(relation.NewSchema("B", "K INT", "X").Key("K"))
+	a.MustInsert(int64(1), "a1")
+	a.MustInsert(int64(2), "a2")
+	b.MustInsert(int64(1), "z")
+	b.MustInsert(int64(2), "b")
+	db.Freeze()
+	q, err := Parse("SELECT A.X, B.X FROM A A, B B WHERE A.K = B.K ORDER BY B.X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a2|b", "a1|z"}
+	ref, err := refExec(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowsAsStrings(ref); !slices.Equal(got, want) {
+		t.Errorf("reference rows %v, want %v", got, want)
+	}
+	res, err := execQuery(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowsAsStrings(res); !slices.Equal(got, want) {
+		t.Errorf("executor rows %v, want %v", got, want)
 	}
 }
 

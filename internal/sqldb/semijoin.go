@@ -216,13 +216,10 @@ func (e *executor) semiKeys(rs *rowset, i int, to *relation.Dict) ([]uint64, int
 }
 
 // semiFilter keeps the rows of rs whose column i holds a key of keys, a
-// bitset over rs.dicts[i]: the per-entry keep filter CONTAINS runs, block at
-// a time into the selection bitset, then gathered.
-func (e *executor) semiFilter(rs *rowset, i int, keys []uint64) (*rowset, error) {
+// bitset over rs.dicts[i]: the per-entry keep filter CONTAINS runs (see
+// filterEntries), reporting whether the value index answered.
+func (e *executor) semiFilter(rs *rowset, i int, keys []uint64) (*rowset, bool, error) {
 	out := &rowset{cols: rs.cols, dicts: rs.dicts}
-	sel, err := e.fillFilterBits(rs, i, 0, keys)
-	if err != nil {
-		return nil, err
-	}
-	return out, e.gatherSelected(rs, sel, out)
+	indexed, err := e.filterEntries(rs, i, 0, keys, out)
+	return out, indexed, err
 }

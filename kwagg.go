@@ -916,7 +916,8 @@ func (e *Engine) SQAKAnswer(query string) (Result, string, error) {
 }
 
 func convertResult(res *sqldb.Result) Result {
-	out := Result{Columns: res.Columns}
+	// Rows is never nil, so an empty answer serializes as [], not null.
+	out := Result{Columns: res.Columns, Rows: make([][]string, 0, len(res.Rows))}
 	for _, row := range res.Rows {
 		cells := make([]string, len(row))
 		for j, v := range row {

@@ -133,6 +133,24 @@ func TestExecuteSQL(t *testing.T) {
 	}
 }
 
+// TestExecuteSQLEmptyRows pins an empty answer's Rows to a non-nil empty
+// slice, with or without GROUP BY, so it serializes as [] rather than null.
+func TestExecuteSQLEmptyRows(t *testing.T) {
+	eng := universityEngine(t)
+	for _, sql := range []string{
+		"SELECT S.Sname FROM Student S WHERE S.Sname = 'nobody'",
+		"SELECT S.Sname, COUNT(S.Sid) AS n FROM Student S WHERE S.Sname = 'nobody' GROUP BY S.Sname",
+	} {
+		res, err := eng.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows == nil || len(res.Rows) != 0 {
+			t.Errorf("%s: Rows = %#v, want a non-nil empty slice", sql, res.Rows)
+		}
+	}
+}
+
 func TestSQAKBaselineAccessors(t *testing.T) {
 	eng := universityEngine(t)
 	sql, err := eng.SQAKTranslate("Green SUM Credit")
